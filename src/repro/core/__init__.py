@@ -15,7 +15,12 @@ Public surface:
 """
 
 from repro.core.answers import Answer, AnswerList
-from repro.core.avoidance import PairwiseDistanceCache, avoid_reference, avoid_vectorized
+from repro.core.avoidance import (
+    PairwiseDistanceCache,
+    PivotSweep,
+    avoid_reference,
+    avoid_vectorized,
+)
 from repro.core.database import Database, MeasuredRun
 from repro.core.multi_query import MultiQueryProcessor, run_in_blocks
 from repro.core.planner import CostFit, QueryPlanner, WorkloadPlan
@@ -30,6 +35,7 @@ __all__ = [
     "MeasuredRun",
     "MultiQueryProcessor",
     "PairwiseDistanceCache",
+    "PivotSweep",
     "QueryType",
     "avoid_reference",
     "avoid_vectorized",

@@ -16,9 +16,11 @@ Both conditions use a strict inequality so the conclusion
 Every evaluated lemma counts as one *avoiding try* (the paper's
 ``avoiding_tries`` term in the CPU cost formula); per object the tries
 stop at the first success.  Two implementations with identical counting
-semantics are provided: :func:`avoid_reference` (object-at-a-time, the
-literal Fig. 4 loop) and :func:`avoid_vectorized` (page-at-a-time with
-numpy, used at benchmark scale).
+semantics are provided: :func:`avoid_reference` (object-at-a-time, one
+query after the other: the literal Fig. 4 loop) and
+:class:`PivotSweep` + :func:`avoid_vectorized` (page-at-a-time and
+pivot-major: one numpy pass per known query over all later queries of
+the page, used at benchmark scale).
 """
 
 from __future__ import annotations
@@ -44,92 +46,127 @@ from repro.metric.space import MetricSpace
 DEFAULT_MAX_PIVOTS = 32
 
 
-def avoid_vectorized(
-    known: np.ndarray,
-    query_to_known: np.ndarray,
-    radius: float,
-    counters: Counters,
-    max_pivots: int = DEFAULT_MAX_PIVOTS,
-    use_lemma1: bool = True,
-    use_lemma2: bool = True,
-) -> np.ndarray:
-    """Vectorised avoidance test for one query over a page of objects.
+def fetch_pairs(matrix: Any, slot: int, other_slots: Any) -> np.ndarray:
+    """Query-to-query distances from a raw array or a slot matrix.
 
-    Parameters
-    ----------
-    known:
-        Array of shape ``(n_known, n_objects)``: row ``j`` holds the
-        distances of each page object to the already-handled query
-        ``Q_j``; entries are NaN where that distance itself was avoided
-        (an unknown value can never be used in a lemma).
-    query_to_known:
-        Array of shape ``(n_known,)``: ``dist(Q_i, Q_j)`` from the query
-        distance matrix.
-    radius:
-        The current query distance ``r_i`` of ``Q_i``.
-    max_pivots:
-        Consult at most this many known queries; non-positive means
-        unbounded.
-    use_lemma1, use_lemma2:
-        Per-lemma switches for the ablation study; both default on.
-
-    Returns
-    -------
-    Boolean mask over the page objects: ``True`` where computing
-    ``dist(O, Q_i)`` is avoidable.
+    A :class:`~repro.core.multi_query._SlotMatrix` computes lazy pairs on
+    first use; a plain ndarray (as used by direct engine tests) is
+    indexed directly.
     """
-    n_objects = known.shape[1] if known.size else 0
-    if known.size == 0 or math.isinf(radius):
-        return np.zeros(n_objects, dtype=bool)
-    n_known = known.shape[0]
-    if max_pivots > 0:
-        n_known = min(n_known, max_pivots)
-    known = known[:n_known]
-    query_to_known = query_to_known[:n_known]
+    if hasattr(matrix, "pairs"):
+        return matrix.pairs(slot, other_slots)
+    return matrix[slot, other_slots]
 
-    # Evaluate both lemmas for every (pivot, object) pair in one sweep,
-    # then replay the per-object early stop ("tries end at the first
-    # successful pivot") as arithmetic on the success matrix.  NaN rows
-    # (the distance to Q_j was itself avoided) never match and are never
-    # charged a try.
-    valid = ~np.isnan(known)
-    if use_lemma1:
+
+class PivotSweep:
+    """Per-page state of the pivot-major Lemma 1/2 sweep.
+
+    Fig. 4 asks, for each query ``Q_i`` in batch order, whether an
+    earlier query ``Q_j`` proves ``dist(O, Q_i) > r_i``.  The sweep asks
+    the same questions pivot by pivot: once row ``j`` (the distances of
+    the page objects to ``Q_j``) is known, :func:`avoid_vectorized` tests
+    it against *every* later query still undecided on an object.  Masks
+    and counters are those of the query-major loop because
+
+    * whether ``dist(O, Q_j)`` is computed depends only on pivots
+      ``< j``, all swept before row ``j`` is asked for;
+    * the radii are those at page entry -- a query's radius moves only
+      through its own offers, and those follow its last test;
+    * per ``(O, Q_i)`` the pivots are still consulted in batch order and
+      the pair leaves ``pending`` at its first success, so the tries the
+      early stop skips are never made.
+
+    ``pending`` has one row per *finite-radius* query (an infinite
+    radius is never tested, never charged and asks for no matrix pair):
+    ``True`` where ``dist(O, Q_i)`` is not proven avoidable yet.
+    """
+
+    def __init__(
+        self,
+        batch: Sequence[Any],
+        matrix: Any,
+        n_objects: int,
+        counters: Counters,
+        max_pivots: int = DEFAULT_MAX_PIVOTS,
+        use_lemma1: bool = True,
+        use_lemma2: bool = True,
+    ):
+        radii = np.array([query.radius for query in batch], dtype=float)
+        finite = ~np.isinf(radii)
+        #: Rows ``< n_pivots`` are consulted by later queries.
+        self.n_pivots = len(batch) - 1
+        if max_pivots > 0:
+            self.n_pivots = min(self.n_pivots, max_pivots)
+        self.radii = radii[finite]
+        self.slots = [query.slot for query in batch]
+        self.finite_slots = np.array(self.slots, dtype=np.intp)[finite]
+        self.matrix = matrix
+        self.counters = counters
+        self.use_lemma1 = use_lemma1
+        self.use_lemma2 = use_lemma2
+        self.pending = np.ones((self.radii.size, n_objects), dtype=bool)
+        #: ``later[p]`` is the first ``pending`` row of the queries after
+        #: position ``p`` (the finite-radius queries among positions <= p).
+        self.later = np.cumsum(finite).tolist()
+        self._finite = finite.tolist()
+        self._all_columns = np.arange(n_objects)
+
+    def columns(self, position: int) -> np.ndarray:
+        """Page positions where ``dist(O, Q_position)`` must be computed.
+
+        Final once every pivot before ``position`` has been swept.
+        """
+        if self._finite[position]:
+            return self.pending[self.later[position] - 1].nonzero()[0]
+        return self._all_columns
+
+
+def avoid_vectorized(
+    sweep: PivotSweep, position: int, columns: np.ndarray, known: np.ndarray
+) -> None:
+    """Sweep pivot ``position`` over every later query of the page.
+
+    ``known`` holds ``dist(O, Q_position)`` at the page positions
+    ``columns`` -- exactly the objects this row was computed for, so an
+    avoided (unknown) distance is never used in a lemma.  Each later
+    finite-radius query tests the objects it is still undecided on;
+    successes leave ``sweep.pending``.  A failed pivot costs one try per
+    enabled lemma, a Lemma 1 success one, a Lemma 2 success
+    ``use_lemma1 + 1`` -- the counting of :func:`avoid_reference`.
+    """
+    first = sweep.later[position]
+    radii = sweep.radii[first:]
+    if not radii.size:
+        return
+    # Asked for even when nothing is left to test: in lazy matrix mode
+    # the query-major loop charges these pairs regardless.
+    dqq = fetch_pairs(
+        sweep.matrix, sweep.slots[position], sweep.finite_slots[first:]
+    )
+    if not columns.size:
+        return
+    pending = sweep.pending[first:, columns]
+    lemma1: Any = False
+    lemma2: Any = False
+    if sweep.use_lemma1:
         # Lemma 1: dist(O, Q_j) > dist(Q_i, Q_j) + r_i
-        lemma1 = valid & (known > (query_to_known + radius)[:, None])
-    else:
-        lemma1 = np.zeros_like(valid)
-    if use_lemma2:
+        lemma1 = known > (dqq + radii)[:, None]
+    if sweep.use_lemma2:
         # Lemma 2: dist(Q_i, Q_j) > dist(O, Q_j) + r_i
-        lemma2 = valid & ~lemma1 & (query_to_known[:, None] > known + radius)
-        success = lemma1 | lemma2
-    else:
-        success = lemma1
-    first = np.where(success.any(axis=0), success.argmax(axis=0), n_known)
-    avoided = first < n_known
-
-    # Tries: each valid pivot consulted before the first success costs
-    # one try per enabled lemma; the successful pivot costs one try when
-    # Lemma 1 fires and (use_lemma1 + 1) when Lemma 2 fires.
-    tries_per_pivot = int(use_lemma1) + int(use_lemma2)
-    if tries_per_pivot:
-        columns = np.arange(n_objects)
-        cumulative_valid = np.cumsum(valid, axis=0)
-        valid_before = np.where(
-            first > 0, cumulative_valid[first - 1, columns], 0
-        )
-        n_lemma1 = int(
-            np.count_nonzero(
-                avoided & lemma1[np.minimum(first, n_known - 1), columns]
-            )
-        )
-        n_lemma2 = int(np.count_nonzero(avoided)) - n_lemma1
-        counters.avoidance_tries += (
-            tries_per_pivot * int(valid_before.sum())
-            + n_lemma1
-            + n_lemma2 * (int(use_lemma1) + 1)
-        )
-    counters.avoided_calculations += int(np.count_nonzero(avoided))
-    return avoided
+        lemma2 = dqq[:, None] > known + radii[:, None]
+    hit = pending & (lemma1 | lemma2)
+    n_hit = int(np.count_nonzero(hit))
+    # Lemma 1 is tried first: a Lemma 2 success is a hit it did not score.
+    n_lemma1 = int(np.count_nonzero(pending & lemma1))
+    n_missed = int(np.count_nonzero(pending)) - n_hit
+    sweep.counters.avoidance_tries += (
+        (sweep.use_lemma1 + sweep.use_lemma2) * n_missed
+        + n_lemma1
+        + (sweep.use_lemma1 + 1) * (n_hit - n_lemma1)
+    )
+    if n_hit:
+        sweep.counters.avoided_calculations += n_hit
+        sweep.pending[first:, columns] = pending ^ hit
 
 
 def avoid_reference(
@@ -182,7 +219,7 @@ class PairwiseDistanceCache:
         self._pairs: dict[tuple[Hashable, Hashable], float] = {}
 
     @staticmethod
-    def _key(a: Hashable, b: Hashable) -> tuple[Hashable, Hashable]:
+    def _key(a: Any, b: Any) -> tuple[Hashable, Hashable]:
         return (a, b) if a <= b else (b, a)
 
     def __len__(self) -> int:

@@ -126,9 +126,10 @@ class Database:
         LRU buffer capacity as a fraction of the database/index size
         (paper: 10 %); 0 disables buffering.
     engine:
-        Default page-processing engine: ``"batched"`` (one fused kernel
-        per page x query-batch), ``"vectorized"``, ``"reference"`` or
-        ``"auto"`` (vectorised when possible).
+        Default page-processing engine: ``"auto"`` (the default:
+        ``"vectorized"`` for vector data under a vector metric,
+        ``"reference"`` otherwise), ``"vectorized"``, ``"batched"`` (one
+        fused kernel per page x query-batch) or ``"reference"``.
     index_options:
         Extra keyword arguments forwarded to the access method.
     observer:

@@ -25,6 +25,10 @@ Three engines with *identical* semantics and *identical* counter values:
 All use the query distance at page entry for the avoidance tests and
 tighten it while inserting the page's computed answers, so their answer
 sets and counters match exactly (see DESIGN.md, design decision 2).
+The reference engine asks the Lemma 1/2 questions query by query, the
+numpy engines pivot by pivot; both call the lemma tests through this
+module's ``avoid_reference`` / ``avoid_vectorized`` globals, the one
+place a profiler has to patch to see all avoidance work.
 """
 
 from __future__ import annotations
@@ -38,8 +42,10 @@ import numpy as np
 from repro.core.answers import AnswerList
 from repro.core.avoidance import (
     DEFAULT_MAX_PIVOTS,
+    PivotSweep,
     avoid_reference,
     avoid_vectorized,
+    fetch_pairs,
 )
 from repro.core.types import QueryType
 from repro.costmodel import Counters
@@ -50,18 +56,6 @@ from repro.storage.page import Page
 ENGINE_REFERENCE = "reference"
 ENGINE_VECTORIZED = "vectorized"
 ENGINE_BATCHED = "batched"
-
-
-def _fetch_pairs(matrix: Any, slot: int, other_slots: list) -> np.ndarray:
-    """Query-to-query distances from a raw array or a slot matrix.
-
-    A :class:`~repro.core.multi_query._SlotMatrix` computes lazy pairs on
-    first use; a plain ndarray (as used by direct engine tests) is
-    indexed directly.
-    """
-    if hasattr(matrix, "pairs"):
-        return matrix.pairs(slot, other_slots)
-    return matrix[slot, other_slots]
 
 
 @dataclass
@@ -109,6 +103,9 @@ class PendingQuery:
         return answer_radius
 
 
+_NO_DISTANCES = np.empty(0)
+
+
 def process_page_vectorized(
     page: Page,
     batch: list[PendingQuery],
@@ -126,7 +123,8 @@ def process_page_vectorized(
     ``matrix`` is the query-distance matrix indexed by query slots.
     Distances computed for earlier queries of the batch on this page
     (``AvoidingDists`` in Fig. 4) feed the avoidance tests of the later
-    ones.
+    ones: each row is swept over all later queries as soon as it is
+    known (see :class:`~repro.core.avoidance.PivotSweep`).
     """
     indices = page.indices
     n_objects = indices.size
@@ -135,45 +133,26 @@ def process_page_vectorized(
             query.processed_pages.add(page.page_id)
         return
     objects = dataset.batch(indices)
-    if not use_avoidance:
-        # No avoidance: no later query consults earlier rows, so skip
-        # the known-row allocation and bookkeeping entirely.
+    if not use_avoidance or len(batch) == 1:
+        # No later query consults earlier rows, so skip the sweep state
+        # and bookkeeping entirely.
         for query in batch:
             distances = space.d_many(objects, query.obj)
             query.answers.offer_many(indices, distances)
             query.processed_pages.add(page.page_id)
         return
 
-    known_rows = np.empty((len(batch), n_objects), dtype=float)
-    known_slots: list[int] = []
-
-    for query in batch:
-        radius = query.radius
-        n_known = len(known_slots)
-        if n_known and not math.isinf(radius):
-            n_pivots = min(n_known, max_pivots) if max_pivots > 0 else n_known
-            pivot_slots = known_slots[:n_pivots]
-            query_to_known = _fetch_pairs(matrix, query.slot, pivot_slots)
-            avoided = avoid_vectorized(
-                known_rows[:n_pivots],
-                query_to_known,
-                radius,
-                counters,
-                max_pivots=0,
-                use_lemma1=use_lemma1,
-                use_lemma2=use_lemma2,
-            )
-            compute = ~avoided
-        else:
-            compute = np.ones(n_objects, dtype=bool)
-
-        row = np.full(n_objects, np.nan)
-        if compute.any():
-            distances = space.d_many(objects[compute], query.obj)
-            row[compute] = distances
-            query.answers.offer_many(indices[compute], distances)
-        known_rows[n_known] = row
-        known_slots.append(query.slot)
+    sweep = PivotSweep(
+        batch, matrix, n_objects, counters, max_pivots, use_lemma1, use_lemma2
+    )
+    for position, query in enumerate(batch):
+        columns = sweep.columns(position)
+        known = _NO_DISTANCES
+        if columns.size:
+            known = space.d_many(objects[columns], query.obj)
+            query.answers.offer_many(indices[columns], known)
+        if position < sweep.n_pivots:
+            avoid_vectorized(sweep, position, columns, known)
         query.processed_pages.add(page.page_id)
 
 
@@ -197,8 +176,8 @@ def process_page_batched(
     is then *replayed* over the already-computed matrix purely for its
     counter semantics: positions the reference engine would have avoided
     are refunded from ``distance_calculations``, charged to
-    ``avoided_calculations``, masked to NaN in the known rows consulted
-    by later queries, and withheld from the answer lists (they are
+    ``avoided_calculations``, left out of the rows the sweep tests later
+    queries against, and withheld from the answer lists (they are
     provably outside the query distance, so answers are unaffected
     either way).  Answer sets and counters therefore match the other two
     engines exactly.
@@ -238,7 +217,7 @@ def process_page_batched(
     else:
         group_starts = [0] * (len(batch) + 1)
 
-    if not use_avoidance:
+    if not use_avoidance or len(batch) == 1:
         for position, query in enumerate(batch):
             rows = rows_all[group_starts[position]:group_starts[position + 1]]
             if rows.size:
@@ -246,42 +225,23 @@ def process_page_batched(
             query.processed_pages.add(page.page_id)
         return
 
-    known_rows = np.empty((len(batch), n_objects), dtype=float)
-    known_slots: list[int] = []
-
+    sweep = PivotSweep(
+        batch, matrix, n_objects, counters, max_pivots, use_lemma1, use_lemma2
+    )
     for position, query in enumerate(batch):
-        radius = query.radius
-        n_known = len(known_slots)
-        column = distances[:, position]
-        avoided = None
-        if n_known and not math.isinf(radius):
-            n_pivots = min(n_known, max_pivots) if max_pivots > 0 else n_known
-            pivot_slots = known_slots[:n_pivots]
-            query_to_known = _fetch_pairs(matrix, query.slot, pivot_slots)
-            avoided = avoid_vectorized(
-                known_rows[:n_pivots],
-                query_to_known,
-                radius,
-                counters,
-                max_pivots=0,
-                use_lemma1=use_lemma1,
-                use_lemma2=use_lemma2,
-            )
-            if not avoided.any():
-                avoided = None
+        columns = sweep.columns(position)
         rows = rows_all[group_starts[position]:group_starts[position + 1]]
-        if avoided is None:
+        if columns.size < n_objects:
+            counters.distance_calculations -= n_objects - columns.size
             if rows.size:
-                query.answers.offer_many(indices[rows], column[rows])
-            known_rows[n_known] = column
-        else:
-            counters.distance_calculations -= int(np.count_nonzero(avoided))
-            if rows.size:
-                rows = rows[~avoided[rows]]
-                if rows.size:
-                    query.answers.offer_many(indices[rows], column[rows])
-            known_rows[n_known] = np.where(avoided, np.nan, column)
-        known_slots.append(query.slot)
+                computed = np.zeros(n_objects, dtype=bool)
+                computed[columns] = True
+                rows = rows[computed[rows]]
+        if rows.size:
+            query.answers.offer_many(indices[rows], distances[rows, position])
+        if position < sweep.n_pivots:
+            known = distances[columns, position]
+            avoid_vectorized(sweep, position, columns, known)
         query.processed_pages.add(page.page_id)
 
 
@@ -314,7 +274,7 @@ def process_page_reference(
         )
         if avoidance_active:
             pivot_rows = known_rows[:max_pivots] if max_pivots > 0 else known_rows
-            pivot_dqq = _fetch_pairs(
+            pivot_dqq = fetch_pairs(
                 matrix, query.slot, [slot for slot, _ in pivot_rows]
             )
         row: list[float] = []

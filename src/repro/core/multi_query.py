@@ -136,7 +136,7 @@ class _SlotMatrix:
         self._active_set.add(slot)
         return slot
 
-    def _compute_pairs(self, slot: int, others: list[int]) -> None:
+    def _compute_pairs(self, slot: int, others: Sequence[int] | np.ndarray) -> None:
         """Compute and charge the distances from ``slot`` to ``others``."""
         distance = self._space.distance
         obj = self._objs[slot]
@@ -163,20 +163,20 @@ class _SlotMatrix:
         self._objs[slot] = None
         self._free.append(slot)
 
-    def row(self, slot: int, other_slots: Sequence[int]) -> np.ndarray:
+    def row(self, slot: int, other_slots: Sequence[int] | np.ndarray) -> np.ndarray:
         """Distances from one query to a set of others, filling gaps."""
         return self.pairs(slot, other_slots)
 
-    def pairs(self, slot: int, other_slots: Sequence[int]) -> np.ndarray:
+    def pairs(self, slot: int, other_slots: Sequence[int] | np.ndarray) -> np.ndarray:
         """Distances from one query to a set of others, filling gaps.
 
         In lazy mode, pairs not yet known are computed (and charged)
         here, at first use.
         """
-        others = list(other_slots)
-        if self.mode == MATRIX_LAZY and others:
-            missing = [o for o in others if not self._known[slot, o]]
-            if missing:
+        others = np.asarray(other_slots, dtype=np.intp)
+        if self.mode == MATRIX_LAZY:
+            missing = others[~self._known[slot, others]]
+            if missing.size:
                 self._compute_pairs(slot, missing)
         return self.matrix[slot, others]
 

@@ -35,13 +35,13 @@ and every row beyond the avoidance pivot window.
 
 from __future__ import annotations
 
-import math
 from typing import Any
 
 import numpy as np
 
-from repro.core.avoidance import DEFAULT_MAX_PIVOTS, avoid_vectorized
-from repro.core.engine import PendingQuery, _fetch_pairs
+from repro.core import engine
+from repro.core.avoidance import DEFAULT_MAX_PIVOTS, PivotSweep
+from repro.core.engine import PendingQuery
 from repro.costmodel import Counters
 from repro.data import Dataset
 from repro.metric.space import MetricSpace
@@ -49,15 +49,17 @@ from repro.storage.page import Page
 
 
 def _uncharged_distances(
-    space: MetricSpace, objects: Any, compute: np.ndarray, query_obj: Any
+    space: MetricSpace, objects: Any, columns: np.ndarray, query_obj: Any
 ) -> np.ndarray:
-    """Distances at the ``compute`` positions, bypassing the counters."""
+    """Distances at the page positions ``columns``, bypassing the counters."""
+    if not columns.size:
+        # A row avoided in full is common on the far pages replayed here.
+        return np.empty(0)
     distance = space.distance
     if isinstance(objects, np.ndarray) and distance.is_vector_metric:
-        return np.asarray(distance.many(objects[compute], query_obj), dtype=float)
-    positions = np.nonzero(compute)[0]
+        return np.asarray(distance.many(objects[columns], query_obj), dtype=float)
     return np.array(
-        [distance.one(objects[int(i)], query_obj) for i in positions], dtype=float
+        [distance.one(objects[int(i)], query_obj) for i in columns], dtype=float
     )
 
 
@@ -86,7 +88,7 @@ def replay_pruned_page(
         for query in batch:
             query.processed_pages.add(page.page_id)
         return
-    if not use_avoidance:
+    if not use_avoidance or len(batch) == 1:
         # Every engine computes every (object, query) distance; none of
         # the results can be accepted, so only the charge remains.
         counters.distance_calculations += n_objects * len(batch)
@@ -94,45 +96,23 @@ def replay_pruned_page(
             query.processed_pages.add(page.page_id)
         return
 
-    objects: Any = None
-    known_rows = np.empty((len(batch), n_objects), dtype=float)
-    known_slots: list[int] = []
-
+    # Position 0 is always inside the pivot window of a batch of two.
+    objects = dataset.batch(indices)
+    sweep = PivotSweep(
+        batch, matrix, n_objects, counters, max_pivots, use_lemma1, use_lemma2
+    )
     for position, query in enumerate(batch):
-        radius = query.radius
-        n_known = len(known_slots)
-        if n_known and not math.isinf(radius):
-            n_pivots = min(n_known, max_pivots) if max_pivots > 0 else n_known
-            pivot_slots = known_slots[:n_pivots]
-            query_to_known = _fetch_pairs(matrix, query.slot, pivot_slots)
-            avoided = avoid_vectorized(
-                known_rows[:n_pivots],
-                query_to_known,
-                radius,
-                counters,
-                max_pivots=0,
-                use_lemma1=use_lemma1,
-                use_lemma2=use_lemma2,
-            )
-            compute = ~avoided
-        else:
-            compute = np.ones(n_objects, dtype=bool)
-        counters.distance_calculations += int(np.count_nonzero(compute))
+        columns = sweep.columns(position)
+        counters.distance_calculations += columns.size
         # A row is consulted only by *later* queries, and only while it
         # sits inside the pivot window.
-        row_consulted = position + 1 < len(batch) and (
-            max_pivots <= 0 or position < max_pivots
-        )
-        if row_consulted:
-            row = np.full(n_objects, np.nan)
-            if compute.any():
-                if objects is None:
-                    objects = dataset.batch(indices)
-                row[compute] = _uncharged_distances(
-                    space, objects, compute, query.obj
-                )
-            known_rows[position] = row
-        else:
-            known_rows[position] = np.nan
-        known_slots.append(query.slot)
+        if position < sweep.n_pivots:
+            # Through the engine module, like the engines themselves, so
+            # one patch point observes every Lemma 1/2 step.
+            engine.avoid_vectorized(
+                sweep,
+                position,
+                columns,
+                _uncharged_distances(space, objects, columns, query.obj),
+            )
         query.processed_pages.add(page.page_id)

@@ -1,11 +1,13 @@
-"""Brute-force oracles shared by the test modules."""
+"""Brute-force oracles and a Lemma 1/2 sweep driver shared by the test modules."""
 
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 
 import numpy as np
 
+from repro.core.avoidance import PivotSweep, avoid_vectorized
 from repro.core.types import QueryType
 
 
@@ -40,3 +42,29 @@ def answer_indices_match(
         abs(g - e) <= tolerance * max(1.0, abs(e))
         for g, e in zip(got_dists, exp_dists)
     )
+
+
+Query = namedtuple("Query", "radius slot")
+
+
+def sweep_last_query(known, dqq, radius, counters, **options):
+    """Avoided mask of the last query of a page after sweeping ``known``.
+
+    Row ``j`` of ``known`` holds the object distances to pivot ``Q_j``
+    (NaN where that distance was not computed), ``dqq[j]`` is
+    ``dist(Q_last, Q_j)``.  The pivots carry an infinite radius, so the
+    last query is the only one tested.
+    """
+    known = np.asarray(known, dtype=float)
+    n_known, n_objects = known.shape
+    batch = [Query(math.inf, j) for j in range(n_known)]
+    batch.append(Query(radius, n_known))
+    matrix = np.zeros((n_known + 1, n_known + 1))
+    matrix[n_known, :n_known] = matrix[:n_known, n_known] = dqq
+    sweep = PivotSweep(batch, matrix, n_objects, counters, **options)
+    for position in range(sweep.n_pivots):
+        columns = np.flatnonzero(~np.isnan(known[position]))
+        avoid_vectorized(sweep, position, columns, known[position, columns])
+    avoided = np.ones(n_objects, dtype=bool)
+    avoided[sweep.columns(n_known)] = False
+    return avoided

@@ -207,6 +207,48 @@ class TestMatrixModes:
         assert counts["lazy"] <= counts["eager"]
         assert counts["eager"] == len(queries) * (len(queries) - 1) // 2
 
+    def test_lazy_sweep_requests_the_query_major_pair_set(self, clustered):
+        """Lazy mode pays exactly ``{(i, j): j < min(i, P), r_i finite}``.
+
+        Seven queries against a three-pivot window, with a k-NN query in
+        mid-batch that can never saturate (k exceeds the database): its
+        radius stays infinite, so it asks for no pairs of its own, while
+        it still serves later queries as a pivot.  The reference engine
+        still walks the query-major loop, so equal counter dicts across
+        engines pin the pivot-major sweep to the same requests.
+        """
+        database = Database(clustered, access="scan", block_size=4096)
+        pivots, unsaturated = 3, 3
+        qtypes = [range_query(0.05)] * 7
+        qtypes[unsaturated] = knn_query(len(clustered) + 1)
+        queries = [clustered[i] for i in range(0, 70, 10)]
+        counters = {}
+        for mode in ("eager", "lazy"):
+            for engine in ("reference", "vectorized", "batched"):
+                database.cold()
+                with database.measure() as handle:
+                    processor = MultiQueryProcessor(
+                        database, engine=engine, matrix_mode=mode,
+                        max_pivots=pivots,
+                    )
+                    processor.query_all(queries, qtypes)
+                counters[mode, engine] = handle.counters.as_dict()
+        matrix = "query_matrix_distance_calculations"
+        assert counters["eager", "reference"][matrix] == 7 * 6 // 2
+        for engine in ("reference", "vectorized", "batched"):
+            lazy = counters["lazy", engine]
+            assert lazy == counters["lazy", "reference"]
+            assert {**lazy, matrix: 21} == counters["eager", engine]
+        # The driver's row (relevance bounds) plus the pivot windows of
+        # the finite-radius queries.
+        consulted = {(i, 0) for i in range(1, 7)} | {
+            (i, j)
+            for i in range(1, 7)
+            if i != unsaturated
+            for j in range(min(i, pivots))
+        }
+        assert counters["lazy", "vectorized"][matrix] == len(consulted) < 21
+
 
 class TestPartitionBySharing:
     def _objs(self):

@@ -8,13 +8,13 @@ from hypothesis import strategies as st
 
 from repro import Database, knn_query, range_query
 from repro.core.answers import AnswerList
-from repro.core.avoidance import avoid_vectorized
 from repro.core.types import bounded_knn_query
 from repro.costmodel import Counters
 from repro.index.rstar.mbr import MBR
 from repro.index.rstar.str_load import kd_partition
 from repro.metric.distances import EuclideanDistance, LevenshteinDistance
 from repro.storage.buffer import LRUBufferPool
+from tests.helpers import sweep_last_query
 
 # Shared strategies -----------------------------------------------------
 
@@ -146,7 +146,7 @@ class TestAvoidanceProperties:
         known = np.array([metric.many(objects, q) for q in queries[:-1]])
         target = queries[-1]
         dqq = np.array([metric.one(target, q) for q in queries[:-1]])
-        avoided = avoid_vectorized(known, dqq, radius, Counters())
+        avoided = sweep_last_query(known, dqq, radius, Counters())
         true = metric.many(objects, target)
         assert np.all(true[avoided] > radius)
 
