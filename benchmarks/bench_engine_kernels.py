@@ -105,7 +105,7 @@ def _run_config(metric_name: str, n_objects: int, m: int, scenario: str):
         for j in range(m):
             matrix[i, j] = metric.one(queries[i], queries[j])
     dataset = VectorDataset(vectors)
-    page = Page(page_id=0, indices=np.arange(n_objects))
+    page = Page(page_id=0, indices=np.arange(n_objects), objects=dataset.vectors)
     # Warm candidates use indices disjoint from the page so answer sets
     # stay comparable across engines.
     warm_indices = np.arange(10**6, 10**6 + WARM_OBJECTS)

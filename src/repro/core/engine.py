@@ -132,7 +132,7 @@ def process_page_vectorized(
         for query in batch:
             query.processed_pages.add(page.page_id)
         return
-    objects = dataset.batch(indices)
+    objects = page.load(dataset)
     if not use_avoidance or len(batch) == 1:
         # No later query consults earlier rows, so skip the sweep state
         # and bookkeeping entirely.
@@ -188,7 +188,7 @@ def process_page_batched(
         for query in batch:
             query.processed_pages.add(page.page_id)
         return
-    objects = dataset.batch(indices)
+    objects = page.load(dataset)
     distances = space.cross_many(objects, [query.obj for query in batch])
 
     # Fused offer prefilter: one (n_objects, m) comparison finds, per
@@ -264,7 +264,7 @@ def process_page_reference(
     """
     indices = page.indices
     n_objects = indices.size
-    objects = dataset.batch(indices)
+    objects = page.load(dataset)
     known_rows: list[tuple[int, list[float]]] = []
 
     for query in batch:

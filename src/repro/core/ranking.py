@@ -44,7 +44,7 @@ def neighbor_ranking(database: Any, query_obj: Any) -> Iterator[Answer]:
         ):
             _, page = next_item
             database.disk.read(page, sequential=sequential)
-            objects = database.dataset.batch(page.indices)
+            objects = page.load(database.dataset)
             distances = database.space.d_many(objects, query_obj)
             for index, distance in zip(page.indices, distances):
                 heapq.heappush(candidates, (float(distance), int(index)))

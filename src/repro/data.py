@@ -63,11 +63,9 @@ class VectorDataset(Dataset):
             raise ValueError("vectors must be a 2-d array of shape (n, d)")
         self.vectors = vectors.copy()
         self.vectors.setflags(write=False)
-        if labels is not None:
-            labels = np.asarray(labels)
-            if labels.shape[0] != vectors.shape[0]:
-                raise ValueError("labels must have one entry per object")
-        self.labels = labels
+        self.labels = None if labels is None else np.asarray(labels)
+        if self.labels is not None and self.labels.shape[0] != vectors.shape[0]:
+            raise ValueError("labels must have one entry per object")
 
     @property
     def dimension(self) -> int:
@@ -85,18 +83,7 @@ class VectorDataset(Dataset):
         return self.vectors[index]
 
     def batch(self, indices: np.ndarray) -> np.ndarray:
-        indices = np.asarray(indices, dtype=np.intp)
-        n = indices.size
-        if n > 1:
-            first = int(indices[0])
-            # Consecutive pages (scan access, benchmark pages) come back
-            # as a view instead of a gather copy; callers treat batches
-            # as read-only.
-            if int(indices[-1]) - first == n - 1 and np.array_equal(
-                indices, np.arange(first, first + n)
-            ):
-                return self.vectors[first:first + n]
-        return self.vectors[indices]
+        return self.vectors[np.asarray(indices, dtype=np.intp)]
 
     def __repr__(self) -> str:
         return f"VectorDataset(n={len(self)}, d={self.dimension})"
@@ -107,11 +94,9 @@ class GenericDataset(Dataset):
 
     def __init__(self, objects: Sequence[Any], labels: Sequence[Any] | None = None):
         self.objects = list(objects)
-        if labels is not None:
-            labels = np.asarray(labels)
-            if labels.shape[0] != len(self.objects):
-                raise ValueError("labels must have one entry per object")
-        self.labels = labels
+        self.labels = None if labels is None else np.asarray(labels)
+        if self.labels is not None and self.labels.shape[0] != len(self.objects):
+            raise ValueError("labels must have one entry per object")
 
     @property
     def is_vector(self) -> bool:

@@ -8,7 +8,7 @@ algebra, the R* topological split, and STR bulk loading -- and
 registered as the ``"rstar"`` access method.
 """
 
-from repro.index.rstar.mbr import MBR, mindist_many
+from repro.index.rstar.mbr import MBR
 from repro.index.rstar.split import SplitResult, rstar_split
 from repro.index.rstar.str_load import str_partition
 
@@ -16,7 +16,6 @@ __all__ = [
     "MBR",
     "RStarTree",
     "SplitResult",
-    "mindist_many",
     "rstar_split",
     "str_partition",
 ]

@@ -104,18 +104,6 @@ class MBR:
         return f"MBR(lo={np.round(self.lo, 3)}, hi={np.round(self.hi, 3)})"
 
 
-def mindist_many(lo: np.ndarray, hi: np.ndarray, queries: np.ndarray) -> np.ndarray:
-    """Euclidean MINDIST from each query point to the box ``[lo, hi]``.
-
-    Vectorised over queries: ``queries`` has shape ``(m, d)`` and the
-    result shape ``(m,)``.  Used by the multiple-query engine to test the
-    relevance of an in-memory page for every pending query at once.
-    """
-    queries = np.atleast_2d(np.asarray(queries, dtype=float))
-    gap = np.maximum(np.maximum(lo - queries, queries - hi), 0.0)
-    return np.sqrt(np.einsum("ij,ij->i", gap, gap))
-
-
 def overlap_with_siblings(mbr: MBR, siblings: Sequence[MBR]) -> float:
     """Total intersection volume between ``mbr`` and a set of siblings."""
     return sum(mbr.overlap_volume(s) for s in siblings)

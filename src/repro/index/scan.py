@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Any
 
-from repro.data import Dataset
+from repro.data import Dataset, VectorDataset
 from repro.index.base import AccessMethod, PageStream
 from repro.metric.space import MetricSpace
 from repro.storage.disk import SimulatedDisk
@@ -70,7 +70,10 @@ class LinearScan(AccessMethod):
                 page_capacity = max(1, disk.block_size // 256)
         self.page_capacity = page_capacity
         self._pages = paginate(
-            len(dataset), page_capacity, first_page_id=disk.allocate_page_id()
+            len(dataset),
+            page_capacity,
+            first_page_id=disk.allocate_page_id(),
+            stored=dataset.vectors if isinstance(dataset, VectorDataset) else None,
         )
         disk.register_all(self._pages)
 

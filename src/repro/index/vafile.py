@@ -154,7 +154,7 @@ class VAFile(AccessMethod):
         # Full vectors on regular data pages.
         capacity = data_page_capacity(d, disk.block_size)
         self.vector_pages = paginate(
-            n, capacity, first_page_id=disk.allocate_page_id()
+            n, capacity, first_page_id=disk.allocate_page_id(), stored=vectors
         )
         disk.register_all(self.vector_pages)
 

@@ -25,13 +25,14 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import weakref
 from typing import Any, Sequence
 
 import numpy as np
 
 from repro.data import Dataset, VectorDataset
 from repro.index.base import AccessMethod, PageStream
-from repro.index.rstar.mbr import MBR, mindist_many
+from repro.index.rstar.mbr import MBR
 from repro.index.rstar.split import rstar_split
 from repro.index.rstar.str_load import kd_partition, str_partition
 from repro.metric.space import MetricSpace
@@ -54,13 +55,28 @@ REINSERT_FRACTION = 0.3
 
 
 class _Node:
-    """Common part of X-tree nodes."""
+    """Common part of X-tree nodes.
 
-    __slots__ = ("mbr", "parent")
+    ``parent`` is held weakly: with a strong back-pointer every node
+    sits on a reference cycle, and a dropped tree -- whose leaf pages
+    pin the leaf-ordered object matrix -- would wait for the cycle
+    collector instead of being freed by reference counting.
+    """
 
-    def __init__(self, mbr: MBR):
+    __slots__ = ("mbr", "page", "_parent", "__weakref__")
+
+    def __init__(self, mbr: MBR, page: Page):
         self.mbr = mbr
-        self.parent: "_DirNode | None" = None
+        self.page = page
+        self._parent: "weakref.ref[_DirNode] | None" = None
+
+    @property
+    def parent(self) -> "_DirNode | None":
+        return None if self._parent is None else self._parent()
+
+    @parent.setter
+    def parent(self, node: "_DirNode | None") -> None:
+        self._parent = None if node is None else weakref.ref(node)
 
     @property
     def is_leaf(self) -> bool:
@@ -70,11 +86,7 @@ class _Node:
 class _LeafNode(_Node):
     """Leaf node: one data page holding object indices."""
 
-    __slots__ = ("page",)
-
-    def __init__(self, mbr: MBR, page: Page):
-        super().__init__(mbr)
-        self.page = page
+    __slots__ = ()
 
     @property
     def is_leaf(self) -> bool:
@@ -84,12 +96,11 @@ class _LeafNode(_Node):
 class _DirNode(_Node):
     """Directory node; ``page.n_blocks > 1`` marks a supernode."""
 
-    __slots__ = ("children", "page")
+    __slots__ = ("children",)
 
     def __init__(self, mbr: MBR, children: list[_Node], page: Page):
-        super().__init__(mbr)
+        super().__init__(mbr, page)
         self.children = children
-        self.page = page
         for child in children:
             child.parent = self
 
@@ -114,7 +125,7 @@ class _XTreeStream(PageStream):
         self._heap: list[tuple[float, int, _Node, int]] = []
         if root is not None:
             bound = tree.space.mbr_mindist(root.mbr.lo, root.mbr.hi, self._query)
-            self._heap = [(bound, next(self._counter), root, 0)]
+            self._heap = [(float(bound), next(self._counter), root, 0)]
 
     def next_page(self, radius: float) -> tuple[float, Page] | None:
         heap = self._heap
@@ -126,32 +137,30 @@ class _XTreeStream(PageStream):
                     telemetry.finish(pending=len(heap))
                 return None
             heapq.heappop(heap)
-            if node.is_leaf:
-                return bound, node.page  # type: ignore[union-attr]
-            dir_node: _DirNode = node  # type: ignore[assignment]
+            if not isinstance(node, _DirNode):
+                return bound, node.page
             # The root is pinned in memory (standard DBMS practice); all
             # other directory nodes are charged as reads.
-            if dir_node is not self._tree.root:
-                self._tree.disk.read(dir_node.page)
-            pushed = pruned = 0
-            for child in dir_node.children:
-                child_bound = self._tree.space.mbr_mindist(
-                    child.mbr.lo, child.mbr.hi, self._query
+            if node is not self._tree.root:
+                self._tree.disk.read(node.page)
+            # Bound the whole node in one pass, then filter: survivors
+            # enter the queue in child order, like an entry-by-entry walk.
+            children = node.children
+            bounds = self._tree.space.mbr_mindist(
+                *self._tree.child_bounds(node), self._query
+            )
+            keep = np.flatnonzero(bounds <= radius)
+            for i, child_bound in zip(keep.tolist(), bounds[keep].tolist()):
+                heapq.heappush(
+                    heap, (child_bound, next(self._counter), children[i], level + 1)
                 )
-                if child_bound <= radius:
-                    heapq.heappush(
-                        heap, (child_bound, next(self._counter), child, level + 1)
-                    )
-                    pushed += 1
-                else:
-                    pruned += 1
             if telemetry is not None:
                 telemetry.node_visit(
                     level=level,
-                    entries=len(dir_node.children),
-                    pushed=pushed,
-                    pruned=pruned,
-                    supernode=dir_node.page.n_blocks > 1,
+                    entries=len(children),
+                    pushed=keep.size,
+                    pruned=len(children) - keep.size,
+                    supernode=node.page.n_blocks > 1,
                 )
         if telemetry is not None:
             telemetry.finish()
@@ -182,6 +191,7 @@ class XTree(AccessMethod):
 
     name = "xtree"
     sequential_data_access = False
+    dataset: VectorDataset
 
     def __init__(
         self,
@@ -219,6 +229,11 @@ class XTree(AccessMethod):
         self.min_fanout_fraction = min_fanout_fraction
         self.root: _Node | None = None
         self._leaf_by_page_id: dict[int, _LeafNode] = {}
+        #: ``data_pages()`` result; dropped when the set of leaves changes.
+        self._data_pages: list[Page] | None = None
+        #: Stacked child ``(lo, hi)`` per directory page id, built on a
+        #: node's first expansion and dropped by every mutation.
+        self._child_bounds: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self.n_supernodes = 0
         self._reinsert_armed = False
 
@@ -234,17 +249,29 @@ class XTree(AccessMethod):
     # Construction
     # ------------------------------------------------------------------
 
-    def _new_leaf(self, indices: np.ndarray) -> _LeafNode:
+    def _new_leaf(
+        self, indices: np.ndarray, objects: np.ndarray | None = None
+    ) -> _LeafNode:
         page = Page(
             page_id=self.disk.allocate_page_id(),
             kind=PageKind.DATA,
             indices=indices,
+            objects=objects,
         )
         self.disk.register(page)
-        mbr = MBR.from_points(self.dataset.batch(page.indices))
-        leaf = _LeafNode(mbr, page)
+        leaf = _LeafNode(MBR.from_points(page.load(self.dataset)), page)
         self._leaf_by_page_id[page.page_id] = leaf
+        self._data_pages = None
         return leaf
+
+    def _rewrite_leaf(self, leaf: _LeafNode, indices: np.ndarray) -> None:
+        """Replace a leaf's object ids; its resident objects go stale."""
+        page = leaf.page
+        page.indices = indices
+        page.objects = None
+        if indices.size:
+            leaf.mbr = MBR.from_points(self.dataset.batch(indices))
+        self.disk.buffer.invalidate(page.page_id)
 
     def _new_dir(self, children: list[_Node], n_blocks: int = 1) -> _DirNode:
         page = Page(
@@ -262,8 +289,16 @@ class XTree(AccessMethod):
             tiles = kd_partition(vectors, self.leaf_capacity)
         else:
             tiles = str_partition(vectors, self.leaf_capacity)
+        # The vectors once more, in leaf order, so that a leaf read is a
+        # row slice instead of a gather.  The copy is private to the
+        # index: object ids and the caller's dataset are untouched.
+        stored = vectors[np.concatenate(tiles)]
+        stored.setflags(write=False)
+        leaf_rows = np.split(stored, np.cumsum([tile.size for tile in tiles])[:-1])
         # Leaf pages first: they occupy a contiguous physical range.
-        level: list[_Node] = [self._new_leaf(tile) for tile in tiles]
+        level: list[_Node] = [
+            self._new_leaf(tile, rows) for tile, rows in zip(tiles, leaf_rows)
+        ]
         # Directory bottom-up, grouping spatially consecutive nodes.
         while len(level) > 1:
             group_size = self.dir_capacity
@@ -293,17 +328,15 @@ class XTree(AccessMethod):
         self._insert_point(index)
 
     def _insert_point(self, index: int) -> None:
+        self._child_bounds.clear()
         point = np.asarray(self.dataset[index], dtype=float)
         if self.root is None:
             self.root = self._new_leaf(np.array([index], dtype=np.intp))
             return
         leaf = self._choose_leaf(point)
-        page = leaf.page
-        page.indices = np.append(page.indices, np.intp(index))
-        leaf.mbr = leaf.mbr.union_point(point)
-        self.disk.buffer.invalidate(page.page_id)
+        self._rewrite_leaf(leaf, np.append(leaf.page.indices, np.intp(index)))
         self._adjust_mbrs_upward(leaf.parent, point)
-        if page.n_objects > self.leaf_capacity:
+        if leaf.page.n_objects > self.leaf_capacity:
             if self._reinsert_armed and leaf.parent is not None:
                 self._reinsert_armed = False
                 self._forced_reinsert(leaf)
@@ -318,10 +351,7 @@ class XTree(AccessMethod):
         n_evict = max(1, int(REINSERT_FRACTION * points.shape[0]))
         order = np.argsort(-distances, kind="stable")
         evicted = leaf.page.indices[order[:n_evict]]
-        keep = leaf.page.indices[np.sort(order[n_evict:])]
-        leaf.page.indices = keep
-        leaf.mbr = MBR.from_points(self.dataset.batch(keep))
-        self.disk.buffer.invalidate(leaf.page.page_id)
+        self._rewrite_leaf(leaf, leaf.page.indices[np.sort(order[n_evict:])])
         self._recompute_mbrs_upward(leaf.parent)
         for index in evicted:
             self._insert_point(int(index))
@@ -342,9 +372,9 @@ class XTree(AccessMethod):
         leaf = self._find_leaf(self.root, point, int(index))
         if leaf is None:
             return False
+        self._child_bounds.clear()
         page = leaf.page
-        page.indices = page.indices[page.indices != index]
-        self.disk.buffer.invalidate(page.page_id)
+        self._rewrite_leaf(leaf, page.indices[page.indices != index])
         min_fill = max(1, int(MIN_FANOUT_FRACTION * self.leaf_capacity))
         if page.n_objects == 0 or (
             page.n_objects < min_fill and leaf.parent is not None
@@ -355,8 +385,6 @@ class XTree(AccessMethod):
             for orphan in orphans:
                 self._insert_point(orphan)
         else:
-            if page.n_objects:
-                leaf.mbr = MBR.from_points(self.dataset.batch(page.indices))
             self._recompute_mbrs_upward(leaf.parent)
         return True
 
@@ -365,22 +393,21 @@ class XTree(AccessMethod):
     ) -> _LeafNode | None:
         if node is None or not node.mbr.contains_point(point):
             return None
-        if node.is_leaf:
-            leaf: _LeafNode = node  # type: ignore[assignment]
-            if index in leaf.page.indices:
-                return leaf
-            return None
-        for child in node.children:  # type: ignore[union-attr]
-            found = self._find_leaf(child, point, index)
-            if found is not None:
-                return found
+        if isinstance(node, _LeafNode):
+            return node if index in node.page.indices else None
+        if isinstance(node, _DirNode):
+            for child in node.children:
+                found = self._find_leaf(child, point, index)
+                if found is not None:
+                    return found
         return None
 
     def _detach(self, node: _Node) -> None:
         """Remove ``node`` from the tree, splicing out empty ancestors."""
         if node.is_leaf:
-            self._leaf_by_page_id.pop(node.page.page_id, None)  # type: ignore[union-attr]
-            self.disk.buffer.invalidate(node.page.page_id)  # type: ignore[union-attr]
+            self._leaf_by_page_id.pop(node.page.page_id, None)
+            self._data_pages = None
+            self.disk.buffer.invalidate(node.page.page_id)
         parent = node.parent
         if parent is None:
             self.root = None
@@ -405,15 +432,14 @@ class XTree(AccessMethod):
 
     def _choose_leaf(self, point: np.ndarray) -> _LeafNode:
         node = self.root
-        assert node is not None
-        while not node.is_leaf:
-            dir_node: _DirNode = node  # type: ignore[assignment]
-            children = dir_node.children
+        while isinstance(node, _DirNode):
+            children = node.children
             if children[0].is_leaf:
                 node = self._least_overlap_child(children, point)
             else:
                 node = self._least_enlargement_child(children, point)
-        return node  # type: ignore[return-value]
+        assert isinstance(node, _LeafNode)
+        return node
 
     @staticmethod
     def _least_enlargement_child(children: list[_Node], point: np.ndarray) -> _Node:
@@ -453,12 +479,9 @@ class XTree(AccessMethod):
         points = np.asarray(self.dataset.batch(leaf.page.indices), dtype=float)
         result = rstar_split(points, points)
         indices = leaf.page.indices
-        left_idx, right_idx = indices[result.left], indices[result.right]
         # Reuse the existing page for the left group.
-        leaf.page.indices = left_idx
-        leaf.mbr = MBR.from_points(self.dataset.batch(left_idx))
-        self.disk.buffer.invalidate(leaf.page.page_id)
-        sibling = self._new_leaf(right_idx)
+        self._rewrite_leaf(leaf, indices[result.left])
+        sibling = self._new_leaf(indices[result.right])
         self._install_sibling(leaf, sibling)
 
     def _install_sibling(self, node: _Node, sibling: _Node) -> None:
@@ -473,12 +496,7 @@ class XTree(AccessMethod):
         if len(parent.children) > self._dir_node_capacity(parent):
             self._split_dir(parent)
         else:
-            self._propagate_mbr(parent.parent)
-
-    def _propagate_mbr(self, node: _DirNode | None) -> None:
-        while node is not None:
-            node.recompute_mbr()
-            node = node.parent
+            self._recompute_mbrs_upward(parent.parent)
 
     def _dir_node_capacity(self, node: _DirNode) -> int:
         return self.dir_capacity * node.page.n_blocks
@@ -492,9 +510,7 @@ class XTree(AccessMethod):
         becomes (or grows as) a supernode.
         """
         children = node.children
-        los = np.array([c.mbr.lo for c in children])
-        his = np.array([c.mbr.hi for c in children])
-        result = rstar_split(los, his)
+        result = rstar_split(*self._stack_bounds(children))
         union_volume = MBR.from_mbrs(c.mbr for c in children).volume()
         overlap_fraction = (
             result.overlap / union_volume if union_volume > 0 else 0.0
@@ -526,8 +542,7 @@ class XTree(AccessMethod):
         n = len(children)
         min_fill = max(1, int(self.min_fanout_fraction * n))
         centers = np.array([c.mbr.center() for c in children])
-        his = np.array([c.mbr.hi for c in children])
-        los = np.array([c.mbr.lo for c in children])
+        los, his = self._stack_bounds(children)
         for axis in np.argsort(-(centers.max(axis=0) - centers.min(axis=0))):
             order = np.argsort(centers[:, axis], kind="stable")
             for size in range(min_fill, n - min_fill + 1):
@@ -556,8 +571,27 @@ class XTree(AccessMethod):
     # ------------------------------------------------------------------
 
     def data_pages(self) -> list[Page]:
-        leaves = sorted(self._leaf_by_page_id.values(), key=lambda l: l.page.page_id)
-        return [leaf.page for leaf in leaves]
+        """All leaf pages by physical address; shared, so do not mutate."""
+        if self._data_pages is None:
+            leaves = self._leaf_by_page_id
+            self._data_pages = [leaves[page_id].page for page_id in sorted(leaves)]
+        return self._data_pages
+
+    @staticmethod
+    def _stack_bounds(children: list[_Node]) -> tuple[np.ndarray, np.ndarray]:
+        """The children's MBRs as two ``(fanout, d)`` arrays."""
+        return (
+            np.array([c.mbr.lo for c in children]),
+            np.array([c.mbr.hi for c in children]),
+        )
+
+    def child_bounds(self, node: _DirNode) -> tuple[np.ndarray, np.ndarray]:
+        """Stacked child bounds of ``node``, kept until the next mutation."""
+        stacked = self._child_bounds.get(node.page.page_id)
+        if stacked is None:
+            stacked = self._stack_bounds(node.children)
+            self._child_bounds[node.page.page_id] = stacked
+        return stacked
 
     def page_stream(self, query_obj: Any) -> PageStream:
         return _XTreeStream(self, query_obj)
@@ -575,8 +609,7 @@ class XTree(AccessMethod):
         driver_distances: np.ndarray | None,
     ) -> np.ndarray:
         leaf = self._leaf_by_page_id[page.page_id]
-        self.space.counters.mindist_evaluations += len(query_objs)
-        return self.space.distance.mbr_mindist_many(
+        return self.space.mbr_mindist(
             leaf.mbr.lo, leaf.mbr.hi, np.asarray(query_objs, dtype=float)
         )
 
@@ -589,7 +622,7 @@ class XTree(AccessMethod):
         node, height = self.root, 0
         while node is not None:
             height += 1
-            node = None if node.is_leaf else node.children[0]  # type: ignore[union-attr]
+            node = node.children[0] if isinstance(node, _DirNode) else None
         return height
 
     def iter_nodes(self) -> Any:
@@ -598,8 +631,8 @@ class XTree(AccessMethod):
         while stack:
             node = stack.pop()
             yield node
-            if not node.is_leaf:
-                stack.extend(node.children)  # type: ignore[union-attr]
+            if isinstance(node, _DirNode):
+                stack.extend(node.children)
 
     def summary(self) -> dict[str, Any]:
         n_leaves = len(self._leaf_by_page_id)
@@ -613,7 +646,3 @@ class XTree(AccessMethod):
             "leaf_capacity": self.leaf_capacity,
             "dir_capacity": self.dir_capacity,
         }
-
-
-# Re-export for callers that need the vectorised Euclidean MINDIST.
-__all__ = ["XTree", "mindist_many"]

@@ -12,7 +12,10 @@ Every distance function implements :class:`DistanceFunction`:
   fallback for non-vector metrics);
 * optionally ``mbr_mindist(lo, hi, q)`` -- a lower bound of the distance
   between ``q`` and any point inside the axis-aligned box ``[lo, hi]``,
-  required by R-tree-family indexes.
+  required by R-tree-family indexes.  The arguments broadcast against
+  each other and the last axis is reduced, so one definition bounds one
+  box, a directory node's stacked ``(fanout, d)`` boxes against one
+  query, or one box against an ``(m, d)`` query block.
 
 Instances are stateless and reusable across databases.
 """
@@ -64,19 +67,13 @@ class DistanceFunction:
         """Whether :meth:`mbr_mindist` is available for this metric."""
         return False
 
-    def mbr_mindist(self, lo: np.ndarray, hi: np.ndarray, q: np.ndarray) -> float:
-        """Lower-bound distance from ``q`` to the box ``[lo, hi]``."""
-        raise NotImplementedError(f"{self.name} has no MBR lower bound")
+    def mbr_mindist(self, lo: np.ndarray, hi: np.ndarray, q: np.ndarray) -> np.ndarray:
+        """Lower-bound distance from ``q`` to the box ``[lo, hi]``.
 
-    def mbr_mindist_many(
-        self, lo: np.ndarray, hi: np.ndarray, queries: np.ndarray
-    ) -> np.ndarray:
-        """Lower-bound distances from each query point to ``[lo, hi]``.
-
-        The generic fallback loops :meth:`mbr_mindist`; vector metrics
-        override it with a batched implementation.
+        ``lo``, ``hi`` and ``q`` broadcast; the result has their common
+        shape minus the last (dimension) axis.
         """
-        return np.array([self.mbr_mindist(lo, hi, q) for q in queries], dtype=float)
+        raise NotImplementedError(f"{self.name} has no MBR lower bound")
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}()"
@@ -136,16 +133,9 @@ class EuclideanDistance(DistanceFunction):
     def supports_mbr(self) -> bool:
         return True
 
-    def mbr_mindist(self, lo: np.ndarray, hi: np.ndarray, q: np.ndarray) -> float:
+    def mbr_mindist(self, lo: np.ndarray, hi: np.ndarray, q: np.ndarray) -> np.ndarray:
         gap = _clip_outside(lo, hi, q)
-        return float(np.sqrt(np.dot(gap, gap)))
-
-    def mbr_mindist_many(
-        self, lo: np.ndarray, hi: np.ndarray, queries: np.ndarray
-    ) -> np.ndarray:
-        queries = np.atleast_2d(np.asarray(queries, dtype=float))
-        gap = np.maximum(np.maximum(lo - queries, queries - hi), 0.0)
-        return np.sqrt(np.einsum("ij,ij->i", gap, gap))
+        return np.sqrt(np.einsum("...j,...j->...", gap, gap))
 
 
 class WeightedEuclideanDistance(DistanceFunction):
@@ -155,12 +145,11 @@ class WeightedEuclideanDistance(DistanceFunction):
     is_vector_metric = True
 
     def __init__(self, weights: Sequence[float]):
-        weights = np.asarray(weights, dtype=float)
-        if weights.ndim != 1:
+        self.weights = np.asarray(weights, dtype=float)
+        if self.weights.ndim != 1:
             raise ValueError("weights must be one-dimensional")
-        if np.any(weights < 0):
+        if np.any(self.weights < 0):
             raise ValueError("weights must be non-negative")
-        self.weights = weights
 
     def one(self, a: Any, b: Any) -> float:
         diff = np.asarray(a, dtype=float) - np.asarray(b, dtype=float)
@@ -182,9 +171,9 @@ class WeightedEuclideanDistance(DistanceFunction):
     def supports_mbr(self) -> bool:
         return True
 
-    def mbr_mindist(self, lo: np.ndarray, hi: np.ndarray, q: np.ndarray) -> float:
+    def mbr_mindist(self, lo: np.ndarray, hi: np.ndarray, q: np.ndarray) -> np.ndarray:
         gap = _clip_outside(lo, hi, q)
-        return float(np.sqrt(np.dot(self.weights * gap, gap)))
+        return np.sqrt(np.einsum("...j,j,...j->...", gap, self.weights, gap))
 
     def __repr__(self) -> str:
         return f"WeightedEuclideanDistance(dim={len(self.weights)})"
@@ -249,9 +238,8 @@ class QuadraticFormDistance(DistanceFunction):
     def supports_mbr(self) -> bool:
         return self._lambda_min_sqrt > 0.0
 
-    def mbr_mindist(self, lo: np.ndarray, hi: np.ndarray, q: np.ndarray) -> float:
-        euclid = self._euclidean.mbr_mindist(lo, hi, q)
-        return self._lambda_min_sqrt * euclid
+    def mbr_mindist(self, lo: np.ndarray, hi: np.ndarray, q: np.ndarray) -> np.ndarray:
+        return self._lambda_min_sqrt * self._euclidean.mbr_mindist(lo, hi, q)
 
     def __repr__(self) -> str:
         return f"QuadraticFormDistance(dim={self.matrix.shape[0]})"
@@ -280,8 +268,8 @@ class ManhattanDistance(DistanceFunction):
     def supports_mbr(self) -> bool:
         return True
 
-    def mbr_mindist(self, lo: np.ndarray, hi: np.ndarray, q: np.ndarray) -> float:
-        return float(np.sum(_clip_outside(lo, hi, q)))
+    def mbr_mindist(self, lo: np.ndarray, hi: np.ndarray, q: np.ndarray) -> np.ndarray:
+        return np.sum(_clip_outside(lo, hi, q), axis=-1)
 
 
 class ChebyshevDistance(DistanceFunction):
@@ -308,9 +296,8 @@ class ChebyshevDistance(DistanceFunction):
     def supports_mbr(self) -> bool:
         return True
 
-    def mbr_mindist(self, lo: np.ndarray, hi: np.ndarray, q: np.ndarray) -> float:
-        gap = _clip_outside(lo, hi, q)
-        return float(np.max(gap)) if gap.size else 0.0
+    def mbr_mindist(self, lo: np.ndarray, hi: np.ndarray, q: np.ndarray) -> np.ndarray:
+        return np.max(_clip_outside(lo, hi, q), axis=-1, initial=0.0)
 
 
 class MinkowskiDistance(DistanceFunction):
@@ -341,9 +328,11 @@ class MinkowskiDistance(DistanceFunction):
     def supports_mbr(self) -> bool:
         return True
 
-    def mbr_mindist(self, lo: np.ndarray, hi: np.ndarray, q: np.ndarray) -> float:
+    def mbr_mindist(self, lo: np.ndarray, hi: np.ndarray, q: np.ndarray) -> np.ndarray:
         gap = _clip_outside(lo, hi, q)
-        return float(np.sum(gap**self.p) ** (1.0 / self.p))
+        # np.power, not ``**``: a 0-d result would otherwise take numpy's
+        # scalar pow, which rounds differently from the array loop.
+        return np.power(np.sum(gap**self.p, axis=-1), 1.0 / self.p)
 
     def __repr__(self) -> str:
         return f"MinkowskiDistance(p={self.p})"

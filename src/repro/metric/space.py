@@ -76,10 +76,14 @@ class MetricSpace:
         self.counters.query_matrix_distance_calculations += 1
         return self.distance.one(a, b)
 
-    def mbr_mindist(self, lo: np.ndarray, hi: np.ndarray, q: np.ndarray) -> float:
-        """Lower-bound distance from ``q`` to a bounding box; counted."""
-        self.counters.mindist_evaluations += 1
-        return self.distance.mbr_mindist(lo, hi, q)
+    def mbr_mindist(self, lo: np.ndarray, hi: np.ndarray, q: np.ndarray) -> np.ndarray:
+        """Lower-bound distances between boxes and queries (broadcast).
+
+        Counts one evaluation per (box, query) pair it was handed.
+        """
+        bounds = self.distance.mbr_mindist(lo, hi, q)
+        self.counters.mindist_evaluations += bounds.size
+        return bounds
 
     def uncounted(self, a: Any, b: Any) -> float:
         """Distance evaluation outside any measured query (e.g. checks)."""

@@ -97,7 +97,7 @@ def replay_pruned_page(
         return
 
     # Position 0 is always inside the pivot window of a batch of two.
-    objects = dataset.batch(indices)
+    objects = page.load(dataset)
     sweep = PivotSweep(
         batch, matrix, n_objects, counters, max_pivots, use_lemma1, use_lemma2
     )

@@ -37,13 +37,16 @@ def paginate(
     capacity: int,
     order: np.ndarray | None = None,
     first_page_id: int = 0,
+    stored: np.ndarray | None = None,
 ) -> list[Page]:
     """Slice ``n_objects`` into data pages of at most ``capacity`` objects.
 
     ``order`` optionally permutes the objects before slicing (clustered
     layouts place similar objects on the same page); by default objects
     are stored in dataset order.  Pages receive consecutive physical
-    addresses starting at ``first_page_id``.
+    addresses starting at ``first_page_id``.  ``stored`` is the object
+    matrix in storage order (row ``i`` is object ``order[i]``); each
+    page then carries its rows as a zero-copy slice.
     """
     if capacity < 1:
         raise ValueError("page capacity must be positive")
@@ -60,6 +63,7 @@ def paginate(
                 page_id=first_page_id + offset,
                 kind=PageKind.DATA,
                 indices=order[start : start + capacity],
+                objects=None if stored is None else stored[start : start + capacity],
             )
         )
     return pages

@@ -1,7 +1,10 @@
-"""Brute-force oracles and a Lemma 1/2 sweep driver shared by the test modules."""
+"""Brute-force oracles, the entry-by-entry X-tree ranking and a Lemma 1/2
+sweep driver shared by the test modules."""
 
 from __future__ import annotations
 
+import heapq
+import itertools
 import math
 from collections import namedtuple
 
@@ -42,6 +45,73 @@ def answer_indices_match(
         abs(g - e) <= tolerance * max(1.0, abs(e))
         for g, e in zip(got_dists, exp_dists)
     )
+
+
+class ReferenceXTreeStream:
+    """Entry-by-entry Hjaltason-Samet ranking: the oracle of the X-tree stream.
+
+    One scalar MINDIST per child, charged as it is taken; children are
+    tested and queued in directory order; every directory node but the
+    pinned root is read from the tree's disk.  The production stream
+    bounds a whole node in one pass and must be indistinguishable from
+    this in delivered ``(bound, page)`` pairs, counters and the
+    ``index.node_visit`` attributes collected in ``visits``.
+    """
+
+    def __init__(self, tree, query):
+        self.tree = tree
+        self.query = np.asarray(query, dtype=float)
+        self.counter = itertools.count()
+        self.visits: list[dict] = []
+        self.heap = []
+        if tree.root is not None:
+            self.heap = [(self._bound(tree.root), next(self.counter), tree.root, 0)]
+
+    def _bound(self, node) -> float:
+        return float(
+            self.tree.space.mbr_mindist(node.mbr.lo, node.mbr.hi, self.query)
+        )
+
+    def next_page(self, radius: float):
+        heap = self.heap
+        while heap:
+            bound, _, node, level = heap[0]
+            if bound > radius:
+                return None
+            heapq.heappop(heap)
+            if node.is_leaf:
+                return bound, node.page
+            if node is not self.tree.root:
+                self.tree.disk.read(node.page)
+            pushed = 0
+            for child in node.children:
+                child_bound = self._bound(child)
+                if child_bound <= radius:
+                    heapq.heappush(
+                        heap, (child_bound, next(self.counter), child, level + 1)
+                    )
+                    pushed += 1
+            self.visits.append(
+                {
+                    "level": level,
+                    "entries": len(node.children),
+                    "pushed": pushed,
+                    "pruned": len(node.children) - pushed,
+                    "supernode": node.page.n_blocks > 1,
+                }
+            )
+        return None
+
+
+def pull_pages(stream, n_unbounded: int, radius: float) -> list[tuple[float, int]]:
+    """Drain ``stream``: ``n_unbounded`` calls at radius inf (a k-NN query
+    before its list is full), every later call at ``radius``."""
+    delivered = []
+    for call in itertools.count():
+        item = stream.next_page(math.inf if call < n_unbounded else radius)
+        if item is None:
+            return delivered
+        delivered.append((item[0], item[1].page_id))
 
 
 Query = namedtuple("Query", "radius slot")

@@ -161,12 +161,20 @@ class TestMbrMindist:
         assert metric.mbr_mindist(lo, hi, np.array([0.5, 0.5, 0.5])) == 0.0
 
     def test_mindist_many_matches_single(self, points):
-        metric = EuclideanDistance()
-        lo, hi = points[:10].min(axis=0), points[:10].max(axis=0)
-        queries = points[10:20]
-        batch = metric.mbr_mindist_many(lo, hi, queries)
-        singles = [metric.mbr_mindist(lo, hi, q) for q in queries]
-        assert np.allclose(batch, singles)
+        """One definition: a block of bounds is bit-identical to the same
+        bounds taken one box and one query at a time."""
+        los = np.array([points[i : i + 10].min(axis=0) for i in range(0, 20, 2)])
+        his = np.array([points[i : i + 10].max(axis=0) for i in range(0, 20, 2)])
+        queries = points[30:40] * 1.5
+        for metric in (m for m in VECTOR_METRICS if m.supports_mbr()):
+            batch = metric.mbr_mindist(los[0], his[0], queries)
+            singles = [metric.mbr_mindist(los[0], his[0], q) for q in queries]
+            assert np.array_equal(batch, singles), metric.name
+            batch = metric.mbr_mindist(los, his, queries[0])
+            singles = [
+                metric.mbr_mindist(lo, hi, queries[0]) for lo, hi in zip(los, his)
+            ]
+            assert np.array_equal(batch, singles), metric.name
 
     def test_cosine_has_no_mbr(self):
         assert not CosineAngularDistance().supports_mbr()

@@ -106,6 +106,51 @@ class TestXTreeDeletion:
         check_xtree_invariants(tree, dataset, present)
 
 
+class TestBulkLoadedTreeMaintenance:
+    """Queries *between* mutations of a bulk-loaded tree: its leaves start
+    out holding their objects and its directory nodes their stacked child
+    bounds, and both must be dropped where a mutation makes them stale."""
+
+    @pytest.mark.parametrize("access", ["xtree", "rstar"])
+    def test_query_delete_query_insert_query(self, vectors, access):
+        db = Database(
+            vectors, access=access, block_size=1024, index_options={"leaf_capacity": 8}
+        )
+        tree = db.access_method
+        present = set(range(600))
+
+        def check(query_index):
+            query = vectors[query_index]
+            ids = np.array(sorted(present))
+            dists = np.sqrt(((vectors[ids] - query) ** 2).sum(axis=1))
+            answers = db.similarity_query(query, knn_query(7))
+            assert np.allclose([a.distance for a in answers], np.sort(dists)[:7])
+            assert {a.index for a in answers} <= present
+
+        check(5)
+        # One whole leaf, object by object (an underflow dissolves it and
+        # reinserts the rest), then objects scattered over the database,
+        # querying from the mutated neighbourhood in between.
+        rng = np.random.default_rng(17)
+        leaf_of_5 = next(p for p in tree.data_pages() if 5 in p.indices)
+        victims = leaf_of_5.indices.tolist() + rng.choice(600, 60).tolist()
+        for step, victim in enumerate(victims):
+            if victim in present:
+                assert tree.delete(victim)
+                present.discard(victim)
+            if step < 10 or step % 10 == 0:
+                check(5)
+        assert 5 not in present
+        check_xtree_invariants(tree, db.dataset, present)
+        for step, index in enumerate(sorted(set(range(600)) - present)):
+            tree.insert(index)
+            present.add(index)
+            if index == 5 or step % 10 == 0:
+                check(5)
+        check(311)
+        check_xtree_invariants(tree, db.dataset, present)
+
+
 class TestForcedReinsertion:
     def test_dynamic_build_quality(self, vectors):
         # Forced reinsertion should not hurt: the dynamically built tree

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.index.rstar import MBR, mindist_many, rstar_split, str_partition
+from repro.index.rstar import MBR, rstar_split, str_partition
 from repro.index.rstar.str_load import kd_partition
+from repro.metric.distances import EuclideanDistance
 
 
 class TestMBR:
@@ -72,7 +73,7 @@ class TestMBR:
     def test_mindist_many_matches_definition(self):
         lo, hi = np.array([0.0, 0.0]), np.array([1.0, 1.0])
         queries = np.array([[0.5, 0.5], [2.0, 0.5], [2.0, 2.0]])
-        result = mindist_many(lo, hi, queries)
+        result = EuclideanDistance().mbr_mindist(lo, hi, queries)
         assert result[0] == 0.0
         assert result[1] == pytest.approx(1.0)
         assert result[2] == pytest.approx(np.sqrt(2.0))

@@ -14,6 +14,17 @@ def vectors():
     return rng.random((500, 6))
 
 
+@pytest.mark.parametrize("access", ["scan", "vafile"])
+def test_pages_hold_their_objects_without_a_copy(vectors, access):
+    db = Database(vectors, access=access, block_size=2048)
+    stored = db.dataset.vectors
+    for page in db.access_method.data_pages():
+        assert np.shares_memory(page.objects, stored)
+        assert np.array_equal(page.objects, stored[page.indices])
+    words = Database(["ab", "abc", "b"], metric="levenshtein", access="scan")
+    assert all(page.objects is None for page in words.access_method.data_pages())
+
+
 class TestLinearScan:
     def test_knn_matches_brute_force(self, vectors):
         db = Database(vectors, access="scan", block_size=2048)

@@ -43,6 +43,10 @@ class TestMetricSpace:
         space = MetricSpace("euclidean")
         space.mbr_mindist(np.zeros(2), np.ones(2), np.array([2.0, 2.0]))
         assert space.counters.mindist_evaluations == 1
+        # charged per (box, query) pair of a broadcast call
+        space.mbr_mindist(np.zeros((3, 2)), np.ones((3, 2)), np.array([2.0, 2.0]))
+        space.mbr_mindist(np.zeros(2), np.ones(2), np.full((4, 2), 2.0))
+        assert space.counters.mindist_evaluations == 1 + 3 + 4
 
     def test_shared_counters(self):
         counters = Counters()

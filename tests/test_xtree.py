@@ -1,21 +1,45 @@
 """Tests for the X-tree access method."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import Database, knn_query, range_query
 from repro.costmodel import Counters
 from repro.data import VectorDataset
 from repro.index.xtree import XTree
 from repro.metric import MetricSpace
+from repro.metric.distances import (
+    ChebyshevDistance,
+    EuclideanDistance,
+    ManhattanDistance,
+    MinkowskiDistance,
+    QuadraticFormDistance,
+    WeightedEuclideanDistance,
+)
+from repro.obs import Observer
 from repro.storage import SimulatedDisk
 
-from tests.helpers import brute_force_answers
+from tests.helpers import ReferenceXTreeStream, brute_force_answers, pull_pages
+
+#: Every metric with an MBR lower bound, as a factory of the dimension.
+MBR_METRICS = {
+    "euclidean": lambda d: EuclideanDistance(),
+    "weighted_euclidean": lambda d: WeightedEuclideanDistance(np.arange(1.0, d + 1)),
+    "quadratic_form": lambda d: QuadraticFormDistance.color_histogram(d),
+    "manhattan": lambda d: ManhattanDistance(),
+    "chebyshev": lambda d: ChebyshevDistance(),
+    "minkowski": lambda d: MinkowskiDistance(3),
+}
 
 
-def build_xtree(vectors, bulk_load=True, block_size=2048, **kwargs):
+def build_xtree(vectors, bulk_load=True, block_size=2048, metric="euclidean", **kwargs):
     counters = Counters()
-    space = MetricSpace("euclidean", counters)
+    space = MetricSpace(metric, counters)
     disk = SimulatedDisk(counters, block_size=block_size)
     dataset = VectorDataset(vectors)
     tree = XTree(dataset, space, disk, bulk_load=bulk_load, **kwargs)
@@ -99,6 +123,120 @@ class TestStructure:
         summary = tree.summary()
         assert summary["name"] == "xtree"
         assert summary["pages"] == len(tree.data_pages())
+
+
+class TestResidentObjects:
+    def test_bulk_loaded_leaves_hold_their_objects(self, vectors):
+        tree, dataset, *_ = build_xtree(vectors)
+        pages = tree.data_pages()
+        for page in pages:
+            assert np.array_equal(page.objects, dataset.batch(page.indices))
+            assert not page.objects.flags.writeable
+        # one leaf-ordered matrix, sliced: no per-page copies, and the
+        # caller's dataset is not what the leaves read
+        assert all(page.objects.base is pages[0].objects.base for page in pages)
+        assert not np.shares_memory(pages[0].objects, dataset.vectors)
+
+    def test_dynamic_and_mutated_leaves_gather(self, vectors):
+        tree, *_ = build_xtree(vectors[:100], bulk_load=False)
+        assert all(page.objects is None for page in tree.data_pages())
+        tree, dataset, *_ = build_xtree(vectors)
+        victim = tree.data_pages()[0]
+        assert tree.delete(int(victim.indices[0]))
+        assert victim.objects is None
+        assert np.array_equal(victim.load(dataset), dataset.batch(victim.indices))
+        assert all(page.objects is not None for page in tree.data_pages()[1:])
+
+    def test_data_pages_sorted_and_refreshed_on_mutation(self, vectors):
+        tree, *_ = build_xtree(vectors, leaf_capacity=8)
+        before = tree.data_pages()
+        assert before is tree.data_pages()  # kept, not re-sorted per call
+        for index in before[0].indices.tolist():
+            assert tree.delete(index)  # dissolves the leaf on underflow
+        after = tree.data_pages()
+        assert [p.page_id for p in after] == sorted(tree._leaf_by_page_id)
+        assert before[0].page_id not in {p.page_id for p in after}
+
+    def test_dropped_tree_frees_leaf_storage_by_refcount(self, vectors):
+        gc.collect()
+        gc.disable()
+        try:
+            tree = build_xtree(vectors)[0]
+            stored = weakref.ref(tree.data_pages()[0].objects.base)
+            assert stored() is not None
+            del tree
+            assert stored() is None
+        finally:
+            gc.enable()
+
+
+def assert_stream_matches_reference(tree, query, n_unbounded, radius):
+    """Production stream against the entry-by-entry oracle, on one tree:
+    same pages with the same bounds in the same order, same counters."""
+    counters = tree.space.counters
+    runs = []
+    for open_stream in (tree.page_stream, lambda q: ReferenceXTreeStream(tree, q)):
+        counters.reset()
+        tree.disk.clear_buffer()
+        delivered = pull_pages(open_stream(query), n_unbounded, radius)
+        runs.append((delivered, counters.as_dict()))
+    assert runs[0] == runs[1]
+    return runs[0]
+
+
+class TestStreamAgainstReference:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**16),
+        metric=st.sampled_from(sorted(MBR_METRICS)),
+        bulk_load=st.booleans(),
+        n=st.integers(1, 70),
+        d=st.integers(1, 4),
+        max_overlap=st.sampled_from([0.0, 0.2]),
+        n_unbounded=st.integers(0, 6),
+        radius=st.sampled_from([0.0, 0.1, 0.2, 0.5, float("inf")]),
+    )
+    def test_one_pass_expansion_equals_entry_by_entry(
+        self, seed, metric, bulk_load, n, d, max_overlap, n_unbounded, radius
+    ):
+        # A one-decimal grid: duplicate points, degenerate boxes and many
+        # children at exactly the same bound (and exactly at the radius).
+        rng = np.random.default_rng(seed)
+        points = np.round(rng.random((n, d)), 1)
+        tree, *_ = build_xtree(
+            points,
+            bulk_load=bulk_load,
+            metric=MBR_METRICS[metric](d),
+            leaf_capacity=4,
+            dir_capacity=3,
+            max_overlap=max_overlap,
+        )
+        for query in (points[0], np.round(rng.random(d) * 1.4 - 0.2, 1)):
+            assert_stream_matches_reference(tree, query, n_unbounded, radius)
+
+    def test_supernodes_and_telemetry(self):
+        rng = np.random.default_rng(0)
+        points = np.round(rng.random((120, 3)), 1)
+        tree, *_ = build_xtree(
+            points, bulk_load=False, leaf_capacity=4, dir_capacity=3, max_overlap=0.0
+        )
+        assert tree.n_supernodes > 0
+        query = points[7]
+        untraced = assert_stream_matches_reference(tree, query, 2, 0.2)
+
+        reference = ReferenceXTreeStream(tree, query)
+        pull_pages(reference, 2, 0.2)
+        assert any(visit["supernode"] for visit in reference.visits)
+        tree.observer = Observer()
+        tree.space.counters.reset()
+        traced = pull_pages(tree.page_stream(query), 2, 0.2)
+        assert (traced, tree.space.counters.as_dict()) == untraced
+        visits = [
+            {key: record["attrs"][key] for key in reference.visits[0]}
+            for record in tree.observer.tracer.records()
+            if record["name"] == "index.node_visit"
+        ]
+        assert visits == reference.visits
 
 
 class TestSupernodes:
