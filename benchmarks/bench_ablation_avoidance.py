@@ -6,7 +6,7 @@ Dimensions ablated on the scan at the largest block size:
 * the pivot cap (how many known queries each decision may consult).
 """
 
-from repro.core.multi_query import run_in_blocks
+from repro.service import run_in_blocks
 from repro.core.types import knn_query
 from repro.experiments.runner import build_database, dataset_k, workload_queries
 

@@ -10,7 +10,7 @@ Run:  python examples/parallel_speedup.py
 """
 
 from repro import Database, knn_query
-from repro.core.multi_query import run_in_blocks
+from repro.service import run_in_blocks
 from repro.parallel import ParallelDatabase
 from repro.workloads import make_astronomy, sample_database_queries
 

@@ -41,7 +41,6 @@ from repro.core import (
     neighbor_ranking,
     neighbors_within_factor,
     range_query,
-    run_in_blocks,
 )
 from repro.costmodel import CostModel, Counters
 from repro.data import GenericDataset, VectorDataset, as_dataset
@@ -52,6 +51,7 @@ from repro.service import (
     QueryScheduler,
     QuerySession,
     Ticket,
+    run_in_blocks,
 )
 
 __version__ = "1.0.0"

@@ -22,7 +22,7 @@ from repro.core.avoidance import (
     avoid_vectorized,
 )
 from repro.core.database import Database, MeasuredRun
-from repro.core.multi_query import MultiQueryProcessor, run_in_blocks
+from repro.core.multi_query import MultiQueryProcessor
 from repro.core.planner import CostFit, QueryPlanner, WorkloadPlan
 from repro.core.ranking import neighbor_ranking, neighbors_within_factor
 from repro.core.types import QueryType, bounded_knn_query, knn_query, range_query
@@ -45,6 +45,5 @@ __all__ = [
     "neighbors_within_factor",
     "QueryPlanner",
     "range_query",
-    "run_in_blocks",
     "WorkloadPlan",
 ]

@@ -26,7 +26,7 @@ import numpy as np
 
 from repro.core.answers import Answer
 from repro.core.engine import ENGINE_BATCHED, ENGINE_REFERENCE, ENGINE_VECTORIZED
-from repro.core.multi_query import MultiQueryProcessor, run_in_blocks
+from repro.core.multi_query import MultiQueryProcessor
 from repro.core.ranking import neighbor_ranking
 from repro.core.types import QueryType
 from repro.costmodel import CostBreakdown, CostModel, Counters
@@ -129,7 +129,9 @@ class Database:
         Default page-processing engine: ``"auto"`` (the default:
         ``"vectorized"`` for vector data under a vector metric,
         ``"reference"`` otherwise), ``"vectorized"``, ``"batched"`` (one
-        fused kernel per page x query-batch) or ``"reference"``.
+        fused kernel per page x query-batch) or ``"reference"``.  ``auto``
+        never picks ``batched``: its GEMM distances are inexact (see
+        :mod:`repro.core.engine`).
     index_options:
         Extra keyword arguments forwarded to the access method.
     observer:
@@ -454,6 +456,8 @@ class Database:
         seeding from the query-distance matrix.  ``engine`` overrides
         the database's default page-processing engine for these blocks.
         """
+        from repro.service.session import run_in_blocks
+
         return run_in_blocks(
             self,
             query_objs,

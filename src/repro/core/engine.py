@@ -20,7 +20,9 @@ Three engines with *identical* semantics and *identical* counter values:
   avoided are refunded from ``distance_calculations`` and charged to
   ``avoided_calculations``, so the counters (and thus the modelled CPU
   cost) are those of the paper's algorithm while the FLOPs actually
-  happen in one GEMM.
+  happen in one GEMM.  The clamped ``|x|^2 + |q|^2 - 2 x.q`` expansion
+  misses direct-difference distances by more than 1e-9, enough to change
+  sampled k-NN answers, so ``engine="auto"`` stays ``vectorized``.
 
 All use the query distance at page entry for the avoidance tests and
 tighten it while inserting the page's computed answers, so their answer

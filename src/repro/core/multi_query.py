@@ -10,6 +10,10 @@ of already-processed pages -- in an internal buffer
 remaining queries complete the whole batch while never reading a page
 twice for the same query.
 
+The batch lives on between calls as an ordered **query window**:
+:meth:`MultiQueryProcessor.advance` appends new queries at its tail and
+completes its head, so a repeated call costs only what changed.
+
 The query-distance matrix (``QObjDists``) is maintained incrementally in
 a slot-recycling array: admitting a query charges one distance
 calculation per already-pending query, so a block of m queries pays
@@ -21,8 +25,8 @@ queries still pending.
 
 from __future__ import annotations
 
-import math
 import zlib
+from collections import OrderedDict
 from typing import Any, Hashable, Iterator, Sequence
 
 import numpy as np
@@ -162,10 +166,6 @@ class _SlotMatrix:
         self._active_set.discard(slot)
         self._objs[slot] = None
         self._free.append(slot)
-
-    def row(self, slot: int, other_slots: Sequence[int] | np.ndarray) -> np.ndarray:
-        """Distances from one query to a set of others, filling gaps."""
-        return self.pairs(slot, other_slots)
 
     def pairs(self, slot: int, other_slots: Sequence[int] | np.ndarray) -> np.ndarray:
         """Distances from one query to a set of others, filling gaps.
@@ -326,6 +326,9 @@ class MultiQueryProcessor:
             prefilter = None
         self.prefilter = prefilter
         self._pending: dict[Hashable, PendingQuery] = {}
+        #: The query window: the buffered queries of the current batch,
+        #: in batch order, keyed by ``id`` (cheaper to hash than a key).
+        self._window: OrderedDict[int, PendingQuery] = OrderedDict()
         self._slots = _SlotMatrix(self.space, mode=matrix_mode)
         self._n_data_pages = len(self.access.data_pages())
 
@@ -337,6 +340,11 @@ class MultiQueryProcessor:
     def pending_queries(self) -> list[PendingQuery]:
         """Currently buffered queries (complete and incomplete)."""
         return list(self._pending.values())
+
+    @property
+    def window(self) -> list[Hashable]:
+        """Keys of the query window, head first."""
+        return [pending.key for pending in self._window.values()]
 
     @property
     def n_data_pages(self) -> int:
@@ -383,6 +391,7 @@ class MultiQueryProcessor:
         """Drop a buffered query and recycle its matrix slot."""
         pending = self._pending.pop(key, None)
         if pending is not None:
+            self._window.pop(id(pending), None)
             self._slots.remove(pending.slot)
 
     def clear(self) -> None:
@@ -410,15 +419,10 @@ class MultiQueryProcessor:
         keys: Sequence[Hashable] | None = None,
         db_indices: Sequence[int | None] | None = None,
     ) -> list[Answer]:
-        """One multiple-similarity-query call (Fig. 4).
-
-        Completes the first query and returns its answers; the other
-        queries accumulate partial answers in the buffer.
-        """
-        driver, others = self.prepare(query_objs, qtypes, keys, db_indices)
-        if not driver.complete:
-            self._drive(driver, others)
-        return driver.answers.materialize()
+        """One multiple-similarity-query call (Fig. 4): completes the first
+        query and returns its answers; the others accumulate partial answers
+        in the buffer and stay in the window for :meth:`advance`."""
+        return self._complete(*self.prepare(query_objs, qtypes, keys, db_indices))
 
     def prepare(
         self,
@@ -427,43 +431,62 @@ class MultiQueryProcessor:
         keys: Sequence[Hashable] | None = None,
         db_indices: Sequence[int | None] | None = None,
     ) -> tuple[PendingQuery, list[PendingQuery]]:
-        """Admit a batch and return ``(driver, others)`` ready to drive.
+        """Make a batch the window and take its head off: everything
+        :meth:`process` does short of the drive, which
+        :class:`~repro.service.QuerySession` streams page by page."""
+        if not len(query_objs):
+            raise ValueError("need at least one query object")
+        self._window.clear()
+        return self._take_head(query_objs, qtypes, keys, db_indices)
 
-        Everything :meth:`process` does short of the drive itself:
-        validation, buffer restore/admission, duplicate folding, radius
-        seeding and warm start.  :class:`~repro.service.QuerySession`
-        uses this entry point to run the same preparation as the batch
-        path before streaming the drive page by page.
-        """
+    def advance(
+        self,
+        query_objs: Sequence[Any] = (),
+        qtypes: Sequence[QueryType] | QueryType = (),
+        keys: Sequence[Hashable] | None = None,
+        db_indices: Sequence[int | None] | None = None,
+    ) -> list[Answer]:
+        """The next call of Sec. 5.1: :meth:`process` over the window
+        with ``query_objs`` appended, paying only for those and the head."""
+        return self._complete(*self._take_head(query_objs, qtypes, keys, db_indices))
+
+    def _take_head(
+        self,
+        query_objs: Sequence[Any],
+        qtypes: Sequence[QueryType] | QueryType,
+        keys: Sequence[Hashable] | None,
+        db_indices: Sequence[int | None] | None,
+    ) -> tuple[PendingQuery, list[PendingQuery]]:
+        """Append queries at the window tail, then take the head off.  A key
+        already in the window keeps its place (a duplicate shares its
+        pending); newcomers are seeded against the whole window and warmed."""
         qtypes = self._broadcast_types(qtypes, len(query_objs))
         if len(query_objs) != len(qtypes):
             raise ValueError("need one query type per query object")
-        if not query_objs:
-            raise ValueError("need at least one query object")
         if keys is not None and len(keys) != len(query_objs):
             raise ValueError("need one key per query object")
         if db_indices is not None and len(db_indices) != len(query_objs):
             raise ValueError("need one dataset index (or None) per query object")
-        pendings = [
-            self.admit(
+        window = self._window
+        joined = []
+        for i, (obj, qtype) in enumerate(zip(query_objs, qtypes)):
+            pending = self.admit(
                 obj,
                 qtype,
                 keys[i] if keys is not None else None,
                 db_indices[i] if db_indices is not None else None,
             )
-            for i, (obj, qtype) in enumerate(zip(query_objs, qtypes))
-        ]
-        # Duplicate query objects resolve to one shared pending; keep a
-        # single occurrence so no page is processed twice for it.
-        seen: set[int] = set()
-        pendings = [
-            p for p in pendings if not (id(p) in seen or seen.add(id(p)))
-        ]
-        if self.seed_from_queries:
-            self.seed_radius_hints(pendings)
+            if id(pending) not in window:
+                window[id(pending)] = pending
+                joined.append(pending)
+        if joined and self.seed_from_queries:
+            self.seed_radius_hints(joined, list(window.values()))
         if self.warm_start:
-            self.warm_up(pendings)
-        return pendings[0], pendings[1:]
+            self.warm_up(joined)
+        if not window:
+            raise ValueError("the query window is empty")
+        __, driver = window.popitem(last=False)
+        return driver, list(window.values())
 
     def warm_up(self, pendings: Sequence[PendingQuery]) -> None:
         """Process each new query's best page to tighten its radius."""
@@ -492,14 +515,17 @@ class MultiQueryProcessor:
             if len(pending.processed_pages) >= self._n_data_pages:
                 self._mark_complete(pending)
 
-    def seed_radius_hints(self, pendings: Sequence[PendingQuery]) -> None:
+    def seed_radius_hints(
+        self, pendings: Sequence[PendingQuery], batch: Sequence[PendingQuery] = ()
+    ) -> None:
         """Derive radius upper bounds from the query-distance matrix.
 
         For a k-NN query whose batch contains at least k other queries
         over *distinct database objects*, those objects are themselves
         candidate answers at the distances the matrix already holds, so
         the k-th smallest row entry bounds the final query distance.
-        Each query is seeded once, on its first processed batch.
+        Each query of ``pendings`` is seeded once, against ``batch``
+        (default: ``pendings`` itself) -- the window it joins.
         """
         for pending in pendings:
             if pending.seeded or pending.complete:
@@ -509,7 +535,7 @@ class MultiQueryProcessor:
                 continue
             pending.seeded = True
             others: dict[int, int] = {}
-            for other in pendings:
+            for other in batch or pendings:
                 if other is pending or other.db_index is None:
                     continue
                 if other.db_index != pending.db_index:
@@ -517,7 +543,7 @@ class MultiQueryProcessor:
             k = pending.qtype.k
             if len(others) < k:
                 continue
-            row = self._slots.row(pending.slot, list(others.values()))
+            row = self._slots.pairs(pending.slot, list(others.values()))
             hint = float(np.partition(row, k - 1)[k - 1])
             if hint < pending.radius_hint:
                 pending.radius_hint = hint
@@ -538,16 +564,15 @@ class MultiQueryProcessor:
         buffer.
         """
         qtypes = self._broadcast_types(qtypes, len(query_objs))
-        results = []
-        for i in range(len(query_objs)):
-            sub_keys = keys[i:] if keys is not None else None
-            sub_indices = db_indices[i:] if db_indices is not None else None
-            results.append(
-                self.process(query_objs[i:], qtypes[i:], sub_keys, sub_indices)
-            )
+        if keys is None:
+            keys = [default_query_key(o, t) for o, t in zip(query_objs, qtypes)]
+        if len(query_objs):
+            self.process(query_objs, qtypes, keys, db_indices)
+            while self._window:
+                self.advance()
+        results = [self._pending[key].answers.materialize() for key in keys]
         if retire:
-            for i, (obj, qtype) in enumerate(zip(query_objs, qtypes)):
-                key = keys[i] if keys is not None else default_query_key(obj, qtype)
+            for key in keys:
                 self.retire(key)
         return results
 
@@ -559,24 +584,24 @@ class MultiQueryProcessor:
             return [qtypes] * n
         return list(qtypes)
 
-    def _drive(self, driver: PendingQuery, others: Sequence[PendingQuery]) -> None:
-        """Complete ``driver``, collecting partial answers for ``others``."""
-        if self.observer is not None:
-            with self.observer.phase(
-                "query.drive",
-                slot=driver.slot,
-                others=len(others),
-                query=query_label(driver.key),
-            ):
-                self._drive_inner(driver, others)
-            return
-        self._drive_inner(driver, others)
-
-    def _drive_inner(
+    def _complete(
         self, driver: PendingQuery, others: Sequence[PendingQuery]
-    ) -> None:
-        for _ in self.drive_pages(driver, others):
-            pass
+    ) -> list[Answer]:
+        """Complete ``driver``, collecting partial answers for ``others``."""
+        if not driver.complete:
+            if self.observer is None:
+                for _ in self.drive_pages(driver, others):
+                    pass
+            else:
+                with self.observer.phase(
+                    "query.drive",
+                    slot=driver.slot,
+                    others=len(others),
+                    query=query_label(driver.key),
+                ):
+                    for _ in self.drive_pages(driver, others):
+                        pass
+        return driver.answers.materialize()
 
     def drive_pages(
         self, driver: PendingQuery, others: Sequence[PendingQuery]
@@ -633,7 +658,7 @@ class MultiQueryProcessor:
                 if not p.complete and page.page_id not in p.processed_pages
             ]
             if active_others:
-                driver_distances = self._slots.row(
+                driver_distances = self._slots.pairs(
                     driver.slot, [p.slot for p in active_others]
                 )
                 bounds = stream.lower_bounds_for_others(
@@ -683,41 +708,3 @@ class MultiQueryProcessor:
         self._mark_complete(driver)
         if drive_filter is not None:
             drive_filter.finish()
-
-
-def run_in_blocks(
-    database: Any,
-    query_objs: Sequence[Any],
-    qtypes: Sequence[QueryType] | QueryType,
-    block_size: int,
-    engine: str | None = None,
-    use_avoidance: bool = True,
-    max_pivots: int = DEFAULT_MAX_PIVOTS,
-    db_indices: Sequence[int | None] | None = None,
-    warm_start: bool = False,
-) -> list[list[Answer]]:
-    """Process ``M`` queries in consecutive blocks of ``block_size``.
-
-    This is the evaluation setup of Sec. 5: memory bounds the number of
-    simultaneously buffered queries, so a workload of M queries runs as
-    ``M / m`` independent multiple similarity queries.  Each block gets a
-    fresh session (fresh answer buffer and query-distance matrix); the
-    disk's LRU buffer persists across blocks like a DBMS buffer would.
-
-    The implementation lives in :mod:`repro.service.session` -- each
-    block is one :class:`~repro.service.QuerySession` drained to
-    completion -- and is re-exported here for backwards compatibility.
-    """
-    from repro.service.session import run_in_blocks as _run_in_blocks
-
-    return _run_in_blocks(
-        database,
-        query_objs,
-        qtypes,
-        block_size,
-        engine=engine,
-        use_avoidance=use_avoidance,
-        max_pivots=max_pivots,
-        db_indices=db_indices,
-        warm_start=warm_start,
-    )

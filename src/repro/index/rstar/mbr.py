@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -102,8 +102,3 @@ class MBR:
 
     def __repr__(self) -> str:
         return f"MBR(lo={np.round(self.lo, 3)}, hi={np.round(self.hi, 3)})"
-
-
-def overlap_with_siblings(mbr: MBR, siblings: Sequence[MBR]) -> float:
-    """Total intersection volume between ``mbr`` and a set of siblings."""
-    return sum(mbr.overlap_volume(s) for s in siblings)

@@ -441,34 +441,40 @@ class XTree(AccessMethod):
         assert isinstance(node, _LeafNode)
         return node
 
-    @staticmethod
-    def _least_enlargement_child(children: list[_Node], point: np.ndarray) -> _Node:
-        best = None
-        best_key: tuple[float, float] | None = None
-        for child in children:
-            key = (child.mbr.enlargement(point), child.mbr.volume())
-            if best_key is None or key < best_key:
-                best, best_key = child, key
-        assert best is not None
-        return best
+    @classmethod
+    def _least_enlargement_child(
+        cls, children: list[_Node], point: np.ndarray
+    ) -> _Node:
+        """R* choose-subtree above the leaves: least enlargement, then volume."""
+        lo, hi = cls._stack_bounds(children)
+        volume = np.prod(hi - lo, axis=-1)
+        grown = np.prod(np.maximum(hi, point) - np.minimum(lo, point), axis=-1)
+        keys = list(zip((grown - volume).tolist(), volume.tolist()))
+        return children[min(range(len(children)), key=keys.__getitem__)]
 
-    @staticmethod
-    def _least_overlap_child(children: list[_Node], point: np.ndarray) -> _Node:
-        best = None
-        best_key: tuple[float, float, float] | None = None
-        for child in children:
-            enlarged = child.mbr.union_point(point)
-            overlap_delta = 0.0
-            for other in children:
-                if other is child:
-                    continue
-                overlap_delta += enlarged.overlap_volume(other.mbr)
-                overlap_delta -= child.mbr.overlap_volume(other.mbr)
-            key = (overlap_delta, child.mbr.enlargement(point), child.mbr.volume())
-            if best_key is None or key < best_key:
-                best, best_key = child, key
-        assert best is not None
-        return best
+    @classmethod
+    def _least_overlap_child(cls, children: list[_Node], point: np.ndarray) -> _Node:
+        """R* choose-subtree over leaves: least overlap enlargement, then
+        enlargement, then volume.  The overlap deltas are accumulated in
+        sibling order, so they round as a loop over ``MBR.overlap_volume``."""
+        lo, hi = cls._stack_bounds(children)
+        grown_lo, grown_hi = np.minimum(lo, point), np.maximum(hi, point)
+        volume = np.prod(hi - lo, axis=-1)
+        enlargement = np.prod(grown_hi - grown_lo, axis=-1) - volume
+
+        def overlaps(box_lo: np.ndarray, box_hi: np.ndarray) -> np.ndarray:
+            sides = np.minimum(box_hi[:, None], hi) - np.maximum(box_lo[:, None], lo)
+            volumes = np.where((sides < 0).any(axis=-1), 0.0, np.prod(sides, axis=-1))
+            np.fill_diagonal(volumes, 0.0)  # a child is not its own sibling
+            return volumes
+
+        n = len(children)
+        steps = np.empty((n, 2 * n))
+        steps[:, 0::2] = overlaps(grown_lo, grown_hi)
+        steps[:, 1::2] = -overlaps(lo, hi)
+        overlap_delta = np.add.accumulate(steps, axis=1)[:, -1]
+        keys = list(zip(overlap_delta.tolist(), enlargement.tolist(), volume.tolist()))
+        return children[min(range(n), key=keys.__getitem__)]
 
     def _adjust_mbrs_upward(self, node: _DirNode | None, point: np.ndarray) -> None:
         while node is not None:

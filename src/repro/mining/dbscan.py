@@ -6,9 +6,9 @@ eps-neighbourhoods of objects retrieved by previous queries.  Two query
 paths are provided:
 
 * ``batch_size=1`` -- classic DBSCAN issuing single range queries;
-* ``batch_size=m`` -- the ExploreNeighborhoodsMultiple form: the
-  current seed-list window is handed to one incremental multiple
-  similarity query, so neighbourhood pages are read once for many seeds.
+* ``batch_size=m`` -- the ExploreNeighborhoodsMultiple form: the first
+  m seeds form the session's query window, so neighbourhood pages are
+  read once for many seeds and each query admits only the new seeds.
 
 Both paths produce identical clusterings (asserted by the test suite):
 the transformation of Sec. 3.3 is purely syntactic.
@@ -16,7 +16,9 @@ the transformation of Sec. 3.3 is purely syntactic.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -79,59 +81,56 @@ def dbscan(
     if batch_size < 1:
         raise ValueError("batch size must be positive")
 
-    n = len(database.dataset)
-    labels = np.full(n, _UNCLASSIFIED, dtype=int)
+    dataset = database.dataset
+    labels = [_UNCLASSIFIED] * len(dataset)
     qtype = range_query(eps)
     session = database.session(seed_from_queries=False)
     queries_issued = 0
     observer = getattr(database, "observer", None)
 
-    def neighborhood(seeds: list[int]) -> list[int]:
-        """Answer the range query for ``seeds[0]``, prefetching the rest."""
+    def neighborhood(head: int, entering: list[int], batch: int) -> list[int]:
+        """Answer ``head``'s range query after ``entering`` joins the window."""
         nonlocal queries_issued
         with maybe_phase(
             observer,
             "mine.iteration",
             driver="dbscan",
             iteration=queries_issued,
-            seed=seeds[0],
-            batch=min(batch_size, len(seeds)),
+            seed=head,
+            batch=batch,
         ):
             queries_issued += 1
-            if batch_size == 1:
-                answers = session.ask(
-                    [database.dataset[seeds[0]]], [qtype], keys=[seeds[0]]
-                )
-            else:
-                window = seeds[:batch_size]
-                answers = session.ask(
-                    [database.dataset[i] for i in window],
-                    [qtype] * len(window),
-                    keys=window,
-                )
-            session.retire(seeds[0])
+            answers = session.advance(
+                [dataset[i] for i in entering], qtype, keys=entering
+            )
+            session.retire(head)
             return [a.index for a in answers]
 
     cluster_id = 0
     with maybe_phase(
         observer, "mine.dbscan", eps=eps, min_pts=min_pts, batch_size=batch_size
     ):
-        for start in range(n):
+        for start in range(len(dataset)):
             if labels[start] != _UNCLASSIFIED:
                 continue
-            neighbors = neighborhood([start])
+            neighbors = neighborhood(start, [start], 1)
             if len(neighbors) < min_pts:
                 labels[start] = NOISE
                 continue
             # Expand a new cluster from this core object.
             labels[start] = cluster_id
-            seeds = [i for i in neighbors if labels[i] in (_UNCLASSIFIED, NOISE)]
+            seeds = deque(i for i in neighbors if labels[i] in (_UNCLASSIFIED, NOISE))
             for i in seeds:
                 labels[i] = cluster_id
+            # seeds[:windowed] is the session's query window.
+            windowed = 0
             while seeds:
-                current = seeds[0]
-                current_neighbors = neighborhood(seeds)
-                seeds = seeds[1:]
+                width = min(batch_size, len(seeds))
+                current_neighbors = neighborhood(
+                    seeds[0], list(islice(seeds, windowed, width)), width
+                )
+                seeds.popleft()
+                windowed = width - 1
                 if len(current_neighbors) >= min_pts:
                     for i in current_neighbors:
                         if labels[i] in (_UNCLASSIFIED, NOISE):
@@ -140,6 +139,4 @@ def dbscan(
                             labels[i] = cluster_id
             cluster_id += 1
 
-    return DBSCANResult(
-        labels=labels, n_clusters=cluster_id, queries_issued=queries_issued
-    )
+    return DBSCANResult(np.asarray(labels, dtype=int), cluster_id, queries_issued)

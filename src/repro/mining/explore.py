@@ -13,7 +13,9 @@ asserts identical traces.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Callable, Iterable, Sequence
 
 from repro.core.answers import Answer
@@ -131,18 +133,21 @@ def explore_neighborhoods_multiple(
     control-list objects to one multiple similarity query through a
     shared :class:`~repro.service.QuerySession`, letting the session
     buffer prefetch partial answers for the objects that will be
-    selected in later iterations.
+    selected in later iterations.  They stay in the session's query
+    window, so an iteration admits only the objects entering it.
     """
     if batch_size < 1:
         raise ValueError("batch size must be positive")
     callbacks = callbacks or ExplorationCallbacks()
     filter_fn = callbacks.filter or _default_filter
-    control: dict[int, None] = dict.fromkeys(int(i) for i in start_objects)
+    control = deque(dict.fromkeys(int(i) for i in start_objects))
     ever_enqueued = set(control)
     stats = ExplorationStats()
     if session is None:
         session = database.session(seed_from_queries=True)
     observer = getattr(database, "observer", None)
+    # control[:windowed] is the session's query window.
+    windowed = 0
 
     with maybe_phase(
         observer, "mine.explore", scheme="multiple", start_objects=len(control)
@@ -154,24 +159,24 @@ def explore_neighborhoods_multiple(
                 break
             if max_iterations is not None and stats.queries_issued >= max_iterations:
                 break
-            batch = list(control)[:batch_size]
-            first = batch[0]
+            width = min(batch_size, len(control))
+            first = control[0]
+            entering = list(islice(control, windowed, width))
             with maybe_phase(
                 observer,
                 "mine.iteration",
                 driver="explore",
                 iteration=stats.queries_issued,
                 obj=first,
-                batch=len(batch),
+                batch=width,
             ):
                 if callbacks.proc_1 is not None:
                     callbacks.proc_1(first)
-                answers = session.ask(
-                    [database.dataset[i] for i in batch],
-                    [sim_type] * len(batch),
-                    keys=batch,
-                    db_indices=batch,
-                )
+                objs = [database.dataset[i] for i in entering]
+                if stats.queries_issued:
+                    answers = session.advance(objs, sim_type, entering, entering)
+                else:  # one-shot: an injected session may hold a window
+                    answers = session.ask(objs, sim_type, entering, entering)
                 stats.queries_issued += 1
                 stats.objects_visited.append(first)
                 if callbacks.proc_2 is not None:
@@ -179,9 +184,9 @@ def explore_neighborhoods_multiple(
                 fresh = [
                     int(i) for i in filter_fn(first, answers) if i not in ever_enqueued
                 ]
-                del control[first]
+                control.popleft()
+                windowed = width - 1
                 session.retire(first)
-                for index in fresh:
-                    control[index] = None
-                    ever_enqueued.add(index)
+                control.extend(dict.fromkeys(fresh))
+                ever_enqueued.update(fresh)
     return stats

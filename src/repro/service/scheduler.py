@@ -624,8 +624,10 @@ class QueryScheduler:
         """Run one block of waiting tickets through its session(s).
 
         Exactly the repeated-call pattern of ``query_all`` -- the first
-        call streamed (recording time-to-first-answer), the rest drained
-        -- so the answers match ``run_in_blocks`` on the same grouping,
+        call streamed over the whole block (recording
+        time-to-first-answer), then one drained ``advance`` of the
+        session's query window per remaining ticket -- so the answers
+        match ``run_in_blocks`` on the same grouping,
         answer for answer and counter for counter.
 
         Under ``optimizer="v1"`` the whole batch is one partition on the
@@ -714,21 +716,13 @@ class QueryScheduler:
         objs = [t.obj for t in batch]
         qtypes = [t.qtype for t in batch]
         keys = [t.key for t in batch]
-        db_indices: list[int | None] | None = [t.db_index for t in batch]
-        if all(index is None for index in db_indices):
-            db_indices = None
+        db_indices = [t.db_index for t in batch]
         degraded_events: dict[Hashable, DegradedAnswerEvent] = {}
         degraded_reason: str | None = None
         for position, ticket in enumerate(batch):
-            sub_indices = (
-                db_indices[position:] if db_indices is not None else None
-            )
             if position == 0:
                 answers: list[Answer] = []
-                for event in session.stream(
-                    objs[position:], qtypes[position:],
-                    keys[position:], sub_indices,
-                ):
+                for event in session.stream(objs, qtypes, keys, db_indices):
                     if isinstance(event, QueryCompleted):
                         answers = list(event.answers)
                     elif isinstance(event, DegradedAnswerEvent):
@@ -738,10 +732,7 @@ class QueryScheduler:
                     break
             else:
                 try:
-                    answers = session.ask(
-                        objs[position:], qtypes[position:],
-                        keys[position:], sub_indices,
-                    )
+                    answers = session.advance()
                 except FaultError as fault:
                     degraded_reason = f"{type(fault).__name__}: {fault}"
                     break

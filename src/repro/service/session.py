@@ -22,7 +22,10 @@ buffer into a first-class handle instead of an internal of
   events is byte-identical to the batch answer list;
 * :meth:`QuerySession.ask` / :meth:`QuerySession.run` are the drained
   (batch) forms, equivalent to ``MultiQueryProcessor.process`` /
-  ``query_all`` answer for answer and counter for counter.
+  ``query_all`` answer for answer and counter for counter;
+* :meth:`QuerySession.advance` continues the last call on the batch the
+  session keeps as its query window: the repeated call of Fig. 3 and
+  Sec. 5.1, paying only for the new queries and the completed head.
 
 Every execution path of the repository -- the five mining drivers,
 :func:`run_in_blocks`, the shared-nothing parallel executor and the
@@ -302,19 +305,9 @@ class QuerySession:
                 query_objs, qtypes, keys, db_indices
             )
         except FaultError as fault:
-            qtypes_list = MultiQueryProcessor._broadcast_types(
-                qtypes, len(query_objs)
-            )
-            if keys is None:
-                batch_keys: list[Hashable] = [
-                    default_query_key(obj, qtype)
-                    for obj, qtype in zip(query_objs, qtypes_list)
-                ]
-            else:
-                batch_keys = list(keys)
-            return self._degraded_events(
-                list(dict.fromkeys(batch_keys)), 0, fault
-            )
+            # Only the warm-up reads pages, so the whole batch is in the
+            # window when a fault strikes.
+            return self._degraded_events(self.processor.window, 0, fault)
         return self._stream_drive(driver, others)
 
     def _stream_drive(
@@ -449,6 +442,18 @@ class QuerySession:
         """
         return self.processor.process(query_objs, qtypes, keys, db_indices)
 
+    def advance(
+        self,
+        query_objs: Sequence[Any] = (),
+        qtypes: Sequence[QueryType] | QueryType = (),
+        keys: Sequence[Hashable] | None = None,
+        db_indices: Sequence[int | None] | None = None,
+    ) -> list[Answer]:
+        """After :meth:`ask` or :meth:`stream` over ``[Q_1..Q_m]``,
+        ``advance(new)`` equals ``ask([Q_2..Q_m, *new])`` answer for answer
+        and counter for counter, but admits only ``new``."""
+        return self.processor.advance(query_objs, qtypes, keys, db_indices)
+
     def run(
         self,
         query_objs: Sequence[Any],
@@ -460,7 +465,7 @@ class QuerySession:
         """Answer every query of a batch completely (Sec. 5.1).
 
         The repeated-call pattern over the session buffer: one
-        :meth:`ask` per query, each restoring the partial answers the
+        :meth:`advance` per query, each restoring the partial answers the
         previous calls accumulated.  ``MultiQueryProcessor.query_all``
         exactly.
         """
@@ -485,8 +490,7 @@ def run_in_blocks(
     The canonical block runner (Sec. 5 evaluation setup): each block is
     one fresh :class:`QuerySession` drained to completion, so memory
     stays bounded by the block while the disk's LRU buffer persists
-    across blocks like a DBMS buffer would.  Re-exported as
-    :func:`repro.core.multi_query.run_in_blocks`.
+    across blocks like a DBMS buffer would.
     """
     if block_size < 1:
         raise ValueError("block size must be positive")

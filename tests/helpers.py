@@ -1,4 +1,5 @@
-"""Brute-force oracles, the entry-by-entry X-tree ranking and a Lemma 1/2
+"""Brute-force oracles, the entry-by-entry X-tree ranking, the scalar
+choose-subtree loops, the slice-based repeated-call loops and a Lemma 1/2
 sweep driver shared by the test modules."""
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from collections import namedtuple
 import numpy as np
 
 from repro.core.avoidance import PivotSweep, avoid_vectorized
-from repro.core.types import QueryType
+from repro.core.types import QueryType, range_query
 
 
 def brute_force_answers(
@@ -103,6 +104,36 @@ class ReferenceXTreeStream:
         return None
 
 
+def least_enlargement_child_reference(children, point):
+    """The scalar choose-subtree loop above the leaf level: the oracle of
+    ``XTree._least_enlargement_child``."""
+    best, best_key = None, None
+    for child in children:
+        key = (child.mbr.enlargement(point), child.mbr.volume())
+        if best_key is None or key < best_key:
+            best, best_key = child, key
+    return best
+
+
+def least_overlap_child_reference(children, point):
+    """The scalar choose-subtree loop at the leaf level, one
+    ``MBR.overlap_volume`` per sibling pair: the oracle of
+    ``XTree._least_overlap_child``."""
+    best, best_key = None, None
+    for child in children:
+        enlarged = child.mbr.union_point(point)
+        overlap_delta = 0.0
+        for other in children:
+            if other is child:
+                continue
+            overlap_delta += enlarged.overlap_volume(other.mbr)
+            overlap_delta -= child.mbr.overlap_volume(other.mbr)
+        key = (overlap_delta, child.mbr.enlargement(point), child.mbr.volume())
+        if best_key is None or key < best_key:
+            best, best_key = child, key
+    return best
+
+
 def pull_pages(stream, n_unbounded: int, radius: float) -> list[tuple[float, int]]:
     """Drain ``stream``: ``n_unbounded`` calls at radius inf (a k-NN query
     before its list is full), every later call at ``radius``."""
@@ -138,3 +169,78 @@ def sweep_last_query(known, dqq, radius, counters, **options):
     avoided = np.ones(n_objects, dtype=bool)
     avoided[sweep.columns(n_known)] = False
     return avoided
+
+
+def slice_loop_process(processor, objs, qtypes, keys, db_indices=None):
+    """One call of the slice-based repeated-call loop: the oracle of
+    ``MultiQueryProcessor.advance``.
+
+    The whole slice is handed over on every call: each query is admitted
+    (a buffered one restored), duplicates fold into their first
+    occurrence, the slice is seeded and warmed (queries seeded or warmed
+    before are skipped), and its head is driven against the rest.  The
+    processor's query window is never touched.
+    """
+    if isinstance(qtypes, QueryType):
+        qtypes = [qtypes] * len(objs)
+    pendings = []
+    for i, (obj, qtype) in enumerate(zip(objs, qtypes)):
+        index = None if db_indices is None else db_indices[i]
+        pending = processor.admit(obj, qtype, keys[i], index)
+        if all(pending is not other for other in pendings):
+            pendings.append(pending)
+    if processor.seed_from_queries:
+        processor.seed_radius_hints(pendings)
+    if processor.warm_start:
+        processor.warm_up(pendings)
+    driver, others = pendings[0], pendings[1:]
+    if not driver.complete:
+        for _ in processor.drive_pages(driver, others):
+            pass
+    return driver.answers.materialize()
+
+
+def slice_loop_dbscan(database, eps, min_pts, batch_size):
+    """DBSCAN handing ``seeds[:batch_size]`` to :func:`slice_loop_process`
+    on every query: the oracle of ``repro.mining.dbscan``."""
+    from repro.core.multi_query import MultiQueryProcessor
+    from repro.mining.dbscan import _UNCLASSIFIED, NOISE, DBSCANResult
+
+    n = len(database.dataset)
+    labels = np.full(n, _UNCLASSIFIED, dtype=int)
+    qtype = range_query(eps)
+    processor = MultiQueryProcessor(database, seed_from_queries=False)
+    queries_issued = 0
+
+    def neighborhood(seeds):
+        nonlocal queries_issued
+        queries_issued += 1
+        window = seeds[:batch_size]
+        objs = [database.dataset[i] for i in window]
+        answers = slice_loop_process(processor, objs, qtype, window)
+        processor.retire(seeds[0])
+        return [a.index for a in answers]
+
+    cluster_id = 0
+    for start in range(n):
+        if labels[start] != _UNCLASSIFIED:
+            continue
+        neighbors = neighborhood([start])
+        if len(neighbors) < min_pts:
+            labels[start] = NOISE
+            continue
+        labels[start] = cluster_id
+        seeds = [i for i in neighbors if labels[i] in (_UNCLASSIFIED, NOISE)]
+        for i in seeds:
+            labels[i] = cluster_id
+        while seeds:
+            current_neighbors = neighborhood(seeds)
+            seeds = seeds[1:]
+            if len(current_neighbors) >= min_pts:
+                for i in current_neighbors:
+                    if labels[i] in (_UNCLASSIFIED, NOISE):
+                        if labels[i] == _UNCLASSIFIED:
+                            seeds.append(i)
+                        labels[i] = cluster_id
+        cluster_id += 1
+    return DBSCANResult(labels, cluster_id, queries_issued)

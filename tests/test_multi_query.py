@@ -2,11 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import Database, bounded_knn_query, knn_query, range_query
 from repro.core.multi_query import MultiQueryProcessor
 
-from tests.helpers import brute_force_answers
+from tests.helpers import brute_force_answers, slice_loop_process
 
 
 @pytest.fixture(scope="module")
@@ -250,6 +252,99 @@ class TestProcessorApi:
         assert (
             on.counters.distance_calculations < off.counters.distance_calculations
         )
+
+
+#: Keys of the query pool the window property draws from.
+POOL = 40
+
+
+def pool_query(vectors, key):
+    """Object, type and dataset index of pool query ``key``: a k-NN, range
+    and bounded k-NN mix over database members (so seeding is sound)."""
+    index = (key * 17) % len(vectors)
+    qtype = (
+        knn_query(key % 5 + 1),
+        range_query(0.1 + 0.05 * (key % 4)),
+        bounded_knn_query(3, 0.3),
+    )[key % 3]
+    return vectors[index], qtype, index
+
+
+def pool_batch(vectors, keys):
+    queries = [pool_query(vectors, key) for key in keys]
+    return (
+        [q[0] for q in queries],
+        [q[1] for q in queries],
+        list(keys),
+        [q[2] for q in queries],
+    )
+
+
+class TestQueryWindow:
+    """The session's query window against the slice-based loop that hands
+    the whole window to every call (``tests/helpers.py``)."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        ops=st.lists(
+            st.one_of(
+                # keys appended by one ``advance`` (duplicates included)
+                st.lists(st.integers(0, POOL - 1), max_size=12),
+                st.lists(st.integers(0, POOL - 1), max_size=2),
+                # a key to retire
+                st.integers(0, POOL - 1),
+                # a one-shot ``ask`` over these keys, replacing the window
+                st.tuples(st.lists(st.integers(0, POOL - 1), min_size=1, max_size=6)),
+            ),
+            min_size=4,
+            max_size=40,
+        ),
+        width=st.sampled_from([1, 8, 32]),
+        seed_from_queries=st.booleans(),
+        warm_start=st.booleans(),
+        matrix_mode=st.sampled_from(["eager", "lazy"]),
+        access=st.sampled_from(["xtree", "scan"]),
+    )
+    def test_advance_matches_slice_loop(
+        self, vectors, ops, width, seed_from_queries, warm_start, matrix_mode, access
+    ):
+        options = dict(
+            seed_from_queries=seed_from_queries,
+            warm_start=warm_start,
+            matrix_mode=matrix_mode,
+        )
+        subject_db, oracle_db = make_db(vectors, access), make_db(vectors, access)
+        session = subject_db.session(**options)
+        oracle = MultiQueryProcessor(oracle_db, **options)
+        window: list[int] = []
+        for op in ops:
+            if isinstance(op, int):
+                session.retire(op)
+                oracle.retire(op)
+                if op in window:
+                    window.remove(op)
+                continue
+            if isinstance(op, tuple):
+                got = session.ask(*pool_batch(vectors, op[0]))
+                window = list(dict.fromkeys(op[0]))
+            else:
+                # Keys already in the window are handed over again and
+                # must fold; new keys join while the window has room.
+                passed = [key for key in op if key in window or len(window) < width]
+                window.extend(k for k in dict.fromkeys(passed) if k not in window)
+                objs, qtypes, keys, indices = pool_batch(vectors, passed)
+                if not window:
+                    with pytest.raises(ValueError):
+                        session.advance(objs, qtypes, keys, indices)
+                    continue
+                got = session.advance(objs, qtypes, keys, indices)
+            want = slice_loop_process(oracle, *pool_batch(vectors, window))
+            window.pop(0)
+            assert [(a.index, a.distance) for a in got] == [
+                (a.index, a.distance) for a in want
+            ]
+            assert session.processor.window == window
+            assert subject_db.counters.as_dict() == oracle_db.counters.as_dict()
 
 
 class TestSeedingAndWarmStart:

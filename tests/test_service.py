@@ -16,13 +16,15 @@ The load-bearing guarantees:
 import numpy as np
 import pytest
 
-from repro import Database, knn_query, range_query
+from repro import Database, knn_query
 from repro.core.multi_query import MultiQueryProcessor
 from repro.mining.dbscan import dbscan
 from repro.mining.explore import ExplorationCallbacks, explore_neighborhoods_multiple
 from repro.mining.trend import detect_trends
 from repro.obs import Observer
 from repro.service import AnswerEvent, QueryCompleted, QuerySession, run_in_blocks
+
+from tests.helpers import slice_loop_dbscan, slice_loop_process
 
 ACCESS_METHODS = ["scan", "xtree", "rstar", "mtree", "vafile"]
 
@@ -246,11 +248,26 @@ class TestDriversOnSessions:
         got = dbscan(db_a, eps=0.2, min_pts=4, batch_size=6)
 
         db_b = make_db(vectors, access)
-        want = _legacy_dbscan(db_b, eps=0.2, min_pts=4, batch_size=6)
+        want = slice_loop_dbscan(db_b, eps=0.2, min_pts=4, batch_size=6)
 
         assert np.array_equal(got.labels, want.labels)
         assert got.n_clusters == want.n_clusters
         assert got.queries_issued == want.queries_issued
+        assert db_a.counters.as_dict() == db_b.counters.as_dict()
+
+    @pytest.mark.parametrize("batch_size", [1, 8, 32])
+    def test_dbscan_matches_slice_loop_at_every_width(self, vectors, batch_size):
+        db_a = make_db(vectors, "xtree")
+        got = dbscan(db_a, eps=0.15, min_pts=5, batch_size=batch_size)
+
+        db_b = make_db(vectors, "xtree")
+        want = slice_loop_dbscan(db_b, eps=0.15, min_pts=5, batch_size=batch_size)
+
+        assert np.array_equal(got.labels, want.labels)
+        assert (got.n_clusters, got.queries_issued) == (
+            want.n_clusters,
+            want.queries_issued,
+        )
         assert db_a.counters.as_dict() == db_b.counters.as_dict()
 
     @pytest.mark.parametrize("access", ["scan", "xtree", "mtree"])
@@ -321,53 +338,8 @@ class TestSessionObservability:
 
 # ----------------------------------------------------------------------
 # Legacy replicas: the pre-refactor loops on a bare MultiQueryProcessor
+# (DBSCAN's lives in tests/helpers.py as ``slice_loop_dbscan``)
 # ----------------------------------------------------------------------
-
-
-def _legacy_dbscan(database, eps, min_pts, batch_size):
-    from repro.mining.dbscan import NOISE, _UNCLASSIFIED, DBSCANResult
-
-    n = len(database.dataset)
-    labels = np.full(n, _UNCLASSIFIED, dtype=int)
-    qtype = range_query(eps)
-    processor = MultiQueryProcessor(database, seed_from_queries=False)
-    queries_issued = 0
-
-    def neighborhood(seeds):
-        nonlocal queries_issued
-        queries_issued += 1
-        window = seeds[:batch_size]
-        answers = processor.process(
-            [database.dataset[i] for i in window],
-            [qtype] * len(window),
-            keys=window,
-        )
-        processor.retire(seeds[0])
-        return [a.index for a in answers]
-
-    cluster_id = 0
-    for start in range(n):
-        if labels[start] != _UNCLASSIFIED:
-            continue
-        neighbors = neighborhood([start])
-        if len(neighbors) < min_pts:
-            labels[start] = NOISE
-            continue
-        labels[start] = cluster_id
-        seeds = [i for i in neighbors if labels[i] in (_UNCLASSIFIED, NOISE)]
-        for i in seeds:
-            labels[i] = cluster_id
-        while seeds:
-            current_neighbors = neighborhood(seeds)
-            seeds = seeds[1:]
-            if len(current_neighbors) >= min_pts:
-                for i in current_neighbors:
-                    if labels[i] in (_UNCLASSIFIED, NOISE):
-                        if labels[i] == _UNCLASSIFIED:
-                            seeds.append(i)
-                        labels[i] = cluster_id
-        cluster_id += 1
-    return DBSCANResult(labels, cluster_id, queries_issued)
 
 
 def _legacy_explore(database, start_objects, sim_type, visits, batch_size, max_iterations):
@@ -378,10 +350,11 @@ def _legacy_explore(database, start_objects, sim_type, visits, batch_size, max_i
     while control and len(visited) < max_iterations:
         batch = list(control)[:batch_size]
         first = batch[0]
-        answers = processor.process(
+        answers = slice_loop_process(
+            processor,
             [database.dataset[i] for i in batch],
-            [sim_type] * len(batch),
-            keys=batch,
+            sim_type,
+            batch,
             db_indices=batch,
         )
         visited.append(first)

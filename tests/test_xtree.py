@@ -2,15 +2,18 @@
 
 import gc
 import weakref
+from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro import Database, knn_query, range_query
 from repro.costmodel import Counters
 from repro.data import VectorDataset
+from repro.index.rstar.mbr import MBR
 from repro.index.xtree import XTree
 from repro.metric import MetricSpace
 from repro.metric.distances import (
@@ -24,7 +27,13 @@ from repro.metric.distances import (
 from repro.obs import Observer
 from repro.storage import SimulatedDisk
 
-from tests.helpers import ReferenceXTreeStream, brute_force_answers, pull_pages
+from tests.helpers import (
+    ReferenceXTreeStream,
+    brute_force_answers,
+    least_enlargement_child_reference,
+    least_overlap_child_reference,
+    pull_pages,
+)
 
 #: Every metric with an MBR lower bound, as a factory of the dimension.
 MBR_METRICS = {
@@ -237,6 +246,73 @@ class TestStreamAgainstReference:
             if record["name"] == "index.node_visit"
         ]
         assert visits == reference.visits
+
+
+class TestChooseSubtreeAgainstReference:
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seed=st.integers(0, 2**16),
+        n=st.integers(2, 90),
+        d=st.integers(1, 5),
+        grid=st.booleans(),
+        dir_capacity=st.sampled_from([3, 8]),
+        max_overlap=st.sampled_from([0.0, 0.2]),
+    )
+    def test_dynamic_build_same_leaves(
+        self, seed, n, d, grid, dir_capacity, max_overlap
+    ):
+        # A grid gives duplicate points, degenerate boxes and tied keys.
+        rng = np.random.default_rng(seed)
+        points = rng.random((n, d))
+        if grid:
+            points = np.round(points, 1)
+
+        def leaves():
+            tree, *_ = build_xtree(
+                points,
+                bulk_load=False,
+                leaf_capacity=4,
+                dir_capacity=dir_capacity,
+                max_overlap=max_overlap,
+            )
+            return [(p.page_id, p.indices.tolist()) for p in tree.data_pages()]
+
+        built = leaves()
+        with (
+            mock.patch.object(
+                XTree,
+                "_least_overlap_child",
+                staticmethod(least_overlap_child_reference),
+            ),
+            mock.patch.object(
+                XTree,
+                "_least_enlargement_child",
+                staticmethod(least_enlargement_child_reference),
+            ),
+        ):
+            assert leaves() == built
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**16), n=st.integers(1, 12), d=st.integers(1, 4))
+    # Found by search: summing in another order, or letting a child's own
+    # box into its overlap sum, picks another child on these.
+    @example(seed=355, n=12, d=3)
+    @example(seed=470, n=6, d=3)
+    @example(seed=161, n=12, d=2)
+    @example(seed=222, n=6, d=2)
+    def test_same_child_on_tied_and_rounding_keys(self, seed, n, d):
+        # One-decimal boxes: tied keys, and overlap sums whose last bit
+        # depends on the order they are accumulated in.
+        rng = np.random.default_rng(seed)
+        lo = np.round(rng.random((n, d)), 1)
+        extent = np.round(rng.random((n, d)), 1)
+        point = np.round(rng.random(d) * 1.2, 1)
+        children = [SimpleNamespace(mbr=MBR(a, a + b)) for a, b in zip(lo, extent)]
+        for method, reference in (
+            (XTree._least_overlap_child, least_overlap_child_reference),
+            (XTree._least_enlargement_child, least_enlargement_child_reference),
+        ):
+            assert method(children, point) is reference(children, point)
 
 
 class TestSupernodes:
