@@ -218,7 +218,7 @@ def run_audit_point() -> dict:
     plan = planner.plan(n_queries, knn_query(10), max_block_size=8)
     database = planner.database_for(plan)
     database.attach_observer(observer)
-    scheduler = database.serve(block_target=plan.block_size, max_block=8)
+    scheduler = database.serve(max_block=8)
     scheduler.replan(plan.fits)
     indices = sample_database_queries(planner.dataset, n_queries, seed=3)
     for index in indices:

@@ -51,7 +51,7 @@ ENGINES = ("reference", "vectorized", "batched")
 N_THROUGHPUT = 12_000
 CLIENTS = 8
 QUERIES_PER_CLIENT = 12
-BLOCK_TARGET = 8
+BLOCK_CAP = 8
 MAX_BLOCK = 32
 REPEATS = 5
 MIN_SPEEDUP = 1.2
@@ -106,12 +106,11 @@ def _run_scheduler(
     optimizer: str,
     share_bound: float | None = None,
     planner=None,
-    block_target: int = BLOCK_TARGET,
+    max_block: int = BLOCK_CAP,
 ):
     database = Database(dataset, access=access, engine=engine, block_size=2048)
     scheduler = database.serve(
-        block_target=block_target,
-        max_block=MAX_BLOCK,
+        max_block=max_block,
         optimizer=optimizer,
         share_bound=share_bound,
         planner=planner,
@@ -162,8 +161,8 @@ def run_identity_sweep() -> list[dict]:
     return cells
 
 
-def _v1_knee_target(planner: QueryPlanner) -> int:
-    """The v1 single-knee block target from the probed k-NN fits."""
+def _v1_knee_cap(planner: QueryPlanner) -> int:
+    """The v1 single-knee block cap from the probed k-NN fits."""
     fits = planner.fit_surface(knn_query(K))
     own = [f for f in fits if f.engine is None]
     best = min(
@@ -189,7 +188,7 @@ def run_throughput() -> dict:
         candidates=("xtree",),
         engines=(None, "batched"),
     )
-    v1_target = _v1_knee_target(planner)
+    v1_cap = _v1_knee_cap(planner)
 
     best: dict[str, dict] = {}
     for _ in range(REPEATS):
@@ -199,10 +198,10 @@ def run_throughput() -> dict:
             "xtree",
             "auto",
             OPTIMIZER_V1,
-            block_target=v1_target,
+            max_block=v1_cap,
         )
-        # v2 gathers a full admission window and lets the cost-based
-        # partitioner cut it; v1 flushes at its single knee target.
+        # v2 takes blocks of the full cap and lets the cost-based
+        # partitioner cut them; v1 runs blocks of its single knee cap.
         v2 = _run_scheduler(
             dataset,
             trace,
@@ -210,7 +209,7 @@ def run_throughput() -> dict:
             "auto",
             OPTIMIZER_V2,
             planner=planner,
-            block_target=MAX_BLOCK,
+            max_block=MAX_BLOCK,
         )
         assert v1["answers"] == v2["answers"], "v2 changed answers"
         for mode, run in (("v1", v1), ("v2", v2)):
@@ -228,7 +227,7 @@ def run_throughput() -> dict:
                 "seconds": run["seconds"],
                 "queries_per_second": n_queries / run["seconds"],
                 "speedup_vs_v1": best["v1"]["seconds"] / run["seconds"],
-                "block_target": v1_target if mode == "v1" else None,
+                "max_block": v1_cap if mode == "v1" else MAX_BLOCK,
                 "counters": run["counters"],
             }
         )

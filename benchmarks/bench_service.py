@@ -1,7 +1,7 @@
 """Scheduler-throughput benchmark: the query service under client load.
 
 Drives a deterministic multi-client k-NN trace through
-:class:`~repro.service.QueryScheduler` (dynamic batching, FIFO driver)
+:class:`~repro.service.QueryScheduler` (work-conserving blocks, FIFO driver)
 for both block orderings and measures wall-clock seconds plus the run's
 deterministic cost counters.  Every ticket's answers are asserted
 byte-identical to the plain ``run_in_blocks`` path over the same
@@ -35,7 +35,7 @@ DIMENSION = 16
 N_CLIENTS = 8
 QUERIES_PER_CLIENT = 8
 K = 10
-BLOCK_TARGET = 8
+MAX_BLOCK = 8
 REPEATS = 5
 
 _COUNTER_FIELDS = (
@@ -70,9 +70,7 @@ def _client_trace(dataset, indices):
 
 def _time_once(order: str, dataset, indices) -> dict:
     database = Database(dataset, access="xtree", block_size=2048)
-    scheduler = database.serve(
-        block_target=BLOCK_TARGET, max_block=4 * BLOCK_TARGET, order=order
-    )
+    scheduler = database.serve(max_block=MAX_BLOCK, order=order)
     trace = _client_trace(dataset, indices)
     start = time.perf_counter()
     tickets = scheduler.serve(trace)
@@ -92,7 +90,7 @@ def _reference_answers(dataset, indices) -> list[list[tuple[int, float]]]:
     """Per-query exact answers via the plain block path."""
     database = Database(dataset, access="xtree", block_size=2048)
     results = database.run_in_blocks(
-        [dataset[i] for i in indices], knn_query(K), block_size=BLOCK_TARGET
+        [dataset[i] for i in indices], knn_query(K), block_size=MAX_BLOCK
     )
     return [[(a.index, a.distance) for a in r] for r in results]
 
@@ -118,7 +116,7 @@ def run_bench() -> dict:
                 "dimension": DIMENSION,
                 "n_clients": N_CLIENTS,
                 "n_queries": n_queries,
-                "block_target": BLOCK_TARGET,
+                "max_block": MAX_BLOCK,
                 "seconds": best["seconds"],
                 "queries_per_second": n_queries / best["seconds"],
                 "counters": best["counters"],

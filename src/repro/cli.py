@@ -262,8 +262,9 @@ def _install_interrupt(args: argparse.Namespace) -> dict:
 def _drive_trace(scheduler, dataset, indices, args: argparse.Namespace) -> list:
     """Submit the deterministic round-robin client trace and drain.
 
-    Each simulated client submits its queries in turn, with idle polls
-    interleaved so the deadline rule exercises partially filled blocks.
+    Each round every simulated client submits one query, then the
+    scheduler runs one block -- the executor finishing a block while
+    the next round arrives.
     An interrupt flag (see :func:`_install_interrupt`) stops submission
     between queries; the final drain still completes whatever was
     admitted, so no ticket is ever abandoned half-served.
@@ -343,9 +344,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             f"{planner.probes_skipped} skipped"
         )
     scheduler = database.serve(
-        block_target=args.block_target,
         max_block=args.max_block,
-        max_wait=args.max_wait,
         order=args.order,
         optimizer=args.optimizer,
         planner=planner,
@@ -367,7 +366,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         scheduler.replan(plan.fits)
         print(plan.describe())
         print(
-            f"scheduler adopted block target {scheduler.block_target}"
+            f"scheduler adopted block cap {scheduler.max_block}"
             f" (recommended access: {scheduler.recommended_access})"
         )
 
@@ -402,7 +401,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         print(
             f"  batch occupancy: mean {occupancy['mean']:.2f}"
             f"  p95 {occupancy['p95']:.0f}  max {occupancy['max']:.0f}"
-            f"  (target {scheduler.block_target})"
+            f"  (cap {scheduler.max_block})"
         )
     if ttfa:
         print(
@@ -460,7 +459,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         if scheduler.anomaly_replans:
             print(
                 f"anomaly replans: {scheduler.anomaly_replans} "
-                f"(block target now {scheduler.block_target})"
+                f"(block cap now {scheduler.max_block})"
             )
     if args.slo:
         exit_code = max(
@@ -526,14 +525,12 @@ def _serve_listen(args, database, scheduler, observer, timeline) -> int:
             port=port,
             max_inflight=args.max_inflight,
             shed_depth=args.shed_depth,
-            poll_interval=args.poll_interval,
         )
         bound_host, bound_port = await server.start()
         print(
             f"listening on {bound_host}:{bound_port} "
             f"(access {database.access_method.name}, "
-            f"block target {scheduler.block_target}, "
-            f"poll interval {args.poll_interval:g}s)",
+            f"block cap {scheduler.max_block})",
             flush=True,
         )
         loop = asyncio.get_running_loop()
@@ -729,9 +726,7 @@ def _report_serve_faults(
         prefilter=_prefilter_config(args),
     )
     clean_scheduler = clean_database.serve(
-        block_target=scheduler.block_target,
         max_block=args.max_block,
-        max_wait=args.max_wait,
         order=args.order,
         optimizer=args.optimizer,
         share_bound=args.share_bound,
@@ -902,11 +897,7 @@ def _cmd_top(args: argparse.Namespace) -> int:
         from repro.faults import FaultPlan
 
         database.inject_faults(FaultPlan.from_file(args.faults))
-    scheduler = database.serve(
-        block_target=args.block_target,
-        max_block=args.max_block,
-        max_wait=args.max_wait,
-    )
+    scheduler = database.serve(max_block=args.max_block)
     indices = sample_database_queries(
         dataset, args.clients * args.queries_per_client, seed=1
     )
@@ -1165,13 +1156,12 @@ def main(argv: list[str] | None = None) -> int:
         default="auto",
         choices=["auto", *engine_names()],
     )
-    serve.add_argument("--block-target", type=int, default=8)
-    serve.add_argument("--max-block", type=int, default=32)
     serve.add_argument(
-        "--max-wait",
+        "--max-block",
         type=int,
-        default=16,
-        help="deadline in logical ticks before a partial block flushes",
+        default=8,
+        help="cap on the tickets one block takes (the planner's knee "
+        "lowers it, anomaly back-off halves it)",
     )
     serve.add_argument(
         "--order",
@@ -1183,13 +1173,13 @@ def main(argv: list[str] | None = None) -> int:
         "--plan",
         action="store_true",
         help="probe a planner cost fit first and adopt its knee-point "
-        "block target",
+        "block cap",
     )
     serve.add_argument(
         "--optimizer",
         default="v1",
         choices=["v1", "v2"],
-        help="v1: one knee-point block target; v2: partition each batch "
+        help="v1: one knee-point block cap; v2: partition each block "
         "by predicted sharing and dispatch each partition under its own "
         "plan (per-partition engine and access method)",
     )
@@ -1250,7 +1240,7 @@ def main(argv: list[str] | None = None) -> int:
         metavar="SPEC",
         help="evaluate anomaly rules from a spec file (JSON or the YAML "
         "subset) against every timeline window; replan-flagged firings "
-        "halve the scheduler's block target",
+        "halve the scheduler's block cap",
     )
     serve.add_argument(
         "--slo",
@@ -1274,16 +1264,6 @@ def main(argv: list[str] | None = None) -> int:
         "protocol, see docs/service.md) instead of the simulated demo "
         "trace; port 0 picks a free port; SIGINT/SIGTERM drain and "
         "shut down gracefully",
-    )
-    serve.add_argument(
-        "--poll-interval",
-        type=float,
-        default=0.05,
-        metavar="SECONDS",
-        help="wall-clock interval of idle scheduler polls in --listen "
-        "mode (the deadline clock); 0 disables the pump so scheduling "
-        "is purely request-driven and reproduces the in-process flush "
-        "grouping exactly",
     )
     serve.add_argument(
         "--max-inflight",
@@ -1592,9 +1572,7 @@ def main(argv: list[str] | None = None) -> int:
         default="auto",
         choices=["auto", *engine_names()],
     )
-    top.add_argument("--block-target", type=int, default=8)
-    top.add_argument("--max-block", type=int, default=32)
-    top.add_argument("--max-wait", type=int, default=16)
+    top.add_argument("--max-block", type=int, default=8)
     top.add_argument(
         "--faults",
         default=None,

@@ -389,9 +389,7 @@ class Database:
 
     def serve(
         self,
-        block_target: int = 8,
-        max_block: int = 32,
-        max_wait: int = 16,
+        max_block: int = 8,
         max_queue: int = 256,
         order: str = "fifo",
         fits: Sequence[Any] | None = None,
@@ -400,16 +398,16 @@ class Database:
         share_bound: float | None = None,
         **session_options: Any,
     ) -> Any:
-        """Open a dynamic-batching :class:`~repro.service.QueryScheduler`.
+        """Open a work-conserving :class:`~repro.service.QueryScheduler`.
 
-        Clients ``submit`` single queries and receive tickets; the
-        scheduler forms multiple-query blocks automatically (Sec. 3.3)
-        and flushes them through a shared session.  Pass the cost
-        ``fits`` of a :class:`~repro.core.planner.QueryPlanner` probe to
-        install the knee-point block target.  ``optimizer="v2"``
-        partitions each admitted batch by predicted sharing and
-        dispatches every partition under its own
-        :class:`~repro.core.planner.BatchPlan` entry (per-partition
+        Clients ``submit`` single queries and receive tickets; each
+        ``poll`` runs the oldest queued tickets, up to ``max_block``, as
+        one multiple-query block through a shared session (Sec. 3.3).
+        Pass the cost ``fits`` of a
+        :class:`~repro.core.planner.QueryPlanner` probe to install the
+        knee-point block cap.  ``optimizer="v2"`` partitions each block
+        by predicted sharing and dispatches every partition under its
+        own :class:`~repro.core.planner.BatchPlan` entry (per-partition
         access method and engine); pass ``planner`` to price partitions
         on a probed cost surface.
         """
@@ -417,9 +415,7 @@ class Database:
 
         return QueryScheduler(
             self,
-            block_target=block_target,
             max_block=max_block,
-            max_wait=max_wait,
             max_queue=max_queue,
             order=order,
             fits=fits,

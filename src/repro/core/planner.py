@@ -53,7 +53,7 @@ _KNOWN_ENGINES = (None, "reference", "vectorized", "batched")
 #: longer than this predict little page overlap, so the chain is cut.
 DEFAULT_SHARE_FACTOR = 2.0
 
-#: Relative slack used for the knee-point block target: the smallest
+#: Relative slack used for the knee-point block cap: the smallest
 #: block size whose predicted per-query cost is within this fraction of
 #: the cost at the maximum block size.
 DEFAULT_KNEE_TOLERANCE = 0.1
@@ -713,7 +713,7 @@ class QueryPlanner:
         size: beyond the knee the predicted amortization is within
         tolerance of zero, while larger blocks couple more queries to
         one traversal -- the same diminishing-returns rule the v1
-        scheduler applies to its single block target.
+        scheduler applies to its single block cap.
         """
         fits = self.fit_surface(qtype)
         total = sum(len(group) for group in groups)

@@ -3,10 +3,11 @@
 The server is the thin network face of the service pipeline: it speaks
 the length-prefixed JSON protocol of :mod:`repro.net.protocol`, admits
 queries into one shared :class:`~repro.service.QueryScheduler`, and
-delivers tickets back to their connections the moment a flushed block
-fills them.  All protocol and scheduler work runs on one event loop, so
-the scheduler keeps its deterministic single-threaded semantics and the
-answers that cross the wire are byte-identical to the in-process path.
+delivers tickets back to their connections the moment a block fills
+them.  All protocol and scheduler work runs on one event loop, so the
+scheduler keeps its single-threaded semantics and the answers that
+cross the wire are byte-identical to the in-process path (answers are
+exact under any block grouping).
 
 Admission control happens *before* the scheduler sees a query:
 
@@ -22,13 +23,12 @@ carrying the live queue depth, never a silent drop.  Degraded tickets
 Def. 4 partial answers stream to the client together with the
 completeness bound.
 
-Time: the scheduler's logical tick clock advances on every submit as
-usual; a *pump* task additionally polls it every ``poll_interval``
-wall-clock seconds so the deadline rule fires for idle periods.  Pass
-``poll_interval=0`` to disable the pump -- scheduling then depends only
-on the request sequence, which makes a served trace reproduce the
-in-process flush grouping exactly (the configuration the CI
-byte-identity check runs).
+Execution is work-conserving: submits only enqueue, and one executor
+task (the *pump*) polls the scheduler whenever tickets are queued --
+one block, then delivery, then a yield to the loop so connection
+handlers can admit what arrived meanwhile.  A lone ticket therefore
+runs as soon as the server is free (m = 1), and a block holds exactly
+the tickets that arrived while the previous block ran.
 """
 
 from __future__ import annotations
@@ -96,9 +96,6 @@ class QueryServer:
         Global admission bound: submits arriving while the scheduler
         queue holds this many tickets are shed.  Defaults to the
         scheduler's own ``max_queue`` pressure bound.
-    poll_interval:
-        Wall-clock seconds between idle scheduler polls (the deadline
-        clock); ``0`` disables the pump for request-driven determinism.
     max_frame:
         Frame size cap handed to every connection's decoder.
     """
@@ -110,7 +107,6 @@ class QueryServer:
         port: int = 0,
         max_inflight: int = 64,
         shed_depth: int | None = None,
-        poll_interval: float = 0.05,
         max_frame: int = DEFAULT_MAX_FRAME,
         name: str = "repro",
     ) -> None:
@@ -124,7 +120,6 @@ class QueryServer:
         self.shed_depth = (
             shed_depth if shed_depth is not None else scheduler.max_queue
         )
-        self.poll_interval = poll_interval
         self.max_frame = max_frame
         self.name = name
         self.n_sheds = 0
@@ -135,6 +130,8 @@ class QueryServer:
         self._conn_serial = 0
         self._server: asyncio.base_events.Server | None = None
         self._pump_task: asyncio.Task[None] | None = None
+        #: Set by every submit; wakes the executor.
+        self._work = asyncio.Event()
         self._closing = asyncio.Event()
 
     # ------------------------------------------------------------------
@@ -154,8 +151,7 @@ class QueryServer:
         self._server = await asyncio.start_server(
             self._handle_connection, self.host, self.port
         )
-        if self.poll_interval > 0:
-            self._pump_task = asyncio.create_task(self._pump())
+        self._pump_task = asyncio.create_task(self._pump())
         return self.address
 
     async def serve_until_shutdown(self) -> None:
@@ -188,12 +184,18 @@ class QueryServer:
             await self._close_connection(conn)
 
     async def _pump(self) -> None:
-        """Advance the deadline clock while tickets are waiting."""
+        """The executor: run one block at a time while tickets wait.
+
+        Yielding after every block lets the connection handlers admit
+        the tickets that arrived while it ran; they form the next block.
+        """
         while True:
-            await asyncio.sleep(self.poll_interval)
-            if self.scheduler.queue_depth:
+            await self._work.wait()
+            self._work.clear()
+            while self.scheduler.queue_depth:
                 self.scheduler.poll()
                 await self._deliver_completed()
+                await asyncio.sleep(0)
 
     # ------------------------------------------------------------------
     # Connection handling
@@ -343,11 +345,35 @@ class QueryServer:
                 f"request id {request_id} is already in flight",
             )
             return
+        db_index = message.get("db_index")
+        n_objects = len(self.scheduler.database)
+        # bool is an int subclass: JSON true/false must not become 1/0.
+        if db_index is not None and (
+            type(db_index) is not int or not 0 <= db_index < n_objects
+        ):
+            await self._send_error(
+                conn,
+                request_id,
+                ERR_BAD_QUERY,
+                f"'db_index' must be an integer in [0, {n_objects}), "
+                f"got {db_index!r}",
+            )
+            return
         try:
             query = query_from_wire(message.get("query"))
             qtype = qtype_from_wire(message.get("qtype"))
         except ValueError as exc:
             await self._send_error(conn, request_id, ERR_BAD_QUERY, str(exc))
+            return
+        dataset = self.scheduler.database.dataset
+        if dataset.is_vector and len(query) != dataset.dimension:
+            await self._send_error(
+                conn,
+                request_id,
+                ERR_BAD_QUERY,
+                f"query must have {dataset.dimension} components, "
+                f"got {len(query)}",
+            )
             return
         if len(conn.pending) >= self.max_inflight:
             await self._shed(conn, request_id, "client-inflight")
@@ -355,22 +381,26 @@ class QueryServer:
         if self.scheduler.queue_depth >= self.shed_depth:
             await self._shed(conn, request_id, "queue-full")
             return
-        db_index = message.get("db_index")
         ticket = self.scheduler.submit(
             np.asarray(query, dtype=np.float64),
             qtype,
             client_id=conn.name,
-            db_index=db_index if isinstance(db_index, int) else None,
+            db_index=db_index,
         )
         conn.pending[request_id] = _Pending(
             request_id, ticket, bool(message.get("stream", False))
         )
+        self._work.set()
         self._metric_inc("service.net.submits")
         self._update_inflight_gauge()
         self._metric_gauge(
             "service.net.queue_depth", float(self.scheduler.queue_depth)
         )
-        await self._deliver_completed()
+        if self.scheduler.queue_depth >= self.scheduler.max_block:
+            # A full block waits: let the executor run it before this
+            # connection admits more of what one read delivered, so a
+            # pipelining client's inflight stays near one block.
+            await asyncio.sleep(0)
 
     async def _handle_retire(
         self, conn: _Connection, message: dict[str, Any]
@@ -521,7 +551,7 @@ class QueryServer:
         return {
             "queue_depth": scheduler.queue_depth,
             "tick": scheduler.tick,
-            "block_target": scheduler.block_target,
+            "max_block": scheduler.max_block,
             "connections": len(self._connections),
             "inflight": sum(len(conn.pending) for conn in self._connections),
             "sheds": self.n_sheds,

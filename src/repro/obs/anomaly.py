@@ -29,7 +29,7 @@ Each firing increments ``anomaly.fired`` (and a per-rule counter),
 emits an ``anomaly.fired`` observer event, lands in the window record,
 and -- the part that closes the loop -- is queued on the collector for
 :meth:`repro.service.scheduler.QueryScheduler.replan`, which reacts to
-rules marked ``replan: true`` by halving its block target.
+rules marked ``replan: true`` by halving its block cap.
 """
 
 from __future__ import annotations
@@ -93,7 +93,7 @@ class AnomalyRule:
         inside the entry (default ``seconds``), the firing ratio, and a
         rescaling factor applied to the baseline value first.
     replan:
-        Whether the scheduler should react (halve its block target).
+        Whether the scheduler should react (halve its block cap).
     """
 
     name: str

@@ -92,7 +92,7 @@ def render_dashboard(
     lines = [title, "-" * len(title)]
     lines.append(
         f"  tick {scheduler.tick:<8} queue {scheduler.queue_depth:<6} "
-        f"block target {scheduler.block_target:<4} "
+        f"block cap {scheduler.max_block:<4} "
         f"degraded sessions {gauges.get('service.degraded_sessions', 0):.0f}"
     )
     lines.append(

@@ -145,7 +145,7 @@ def entries_from_service(result: Mapping[str, Any]) -> dict[str, dict]:
                 "n_objects": row.get("n_objects"),
                 "n_clients": row.get("n_clients"),
                 "n_queries": row.get("n_queries"),
-                "block_target": row.get("block_target"),
+                "max_block": row.get("max_block"),
                 "queries_per_second": row.get("queries_per_second"),
             },
         )
@@ -235,12 +235,10 @@ def entries_from_optimizer(result: Mapping[str, Any]) -> dict[str, dict]:
 def entries_from_net(result: Mapping[str, Any]) -> dict[str, dict]:
     """Convert a ``BENCH_net.json`` payload into store entries.
 
-    One entry per replay mode (``in-process``, ``wire``).  Counters are
-    the served database's deterministic cost accounting -- identical
-    across modes by the wire path's byte-identity guarantee, so any
-    drift between the socket path and the in-process path fails
-    ``repro bench --check`` exactly.  Client-observed latency
-    percentiles and shed/degraded totals ride along as metadata.
+    One entry per replay mode (``in-process``, ``wire``).  Counters,
+    where a row carries them, are the served database's deterministic
+    cost accounting.  Client-observed latency percentiles and
+    shed/degraded totals ride along as metadata.
     """
     entries: dict[str, dict] = {}
     for row in result.get("rows", []):

@@ -9,10 +9,10 @@ Fig. 4) into a service pipeline:
   that emits the driver's answers the moment index traversal proves
   them final, and batch faces (``ask``/``run``) that are
   ``MultiQueryProcessor.process``/``query_all`` exactly;
-* :class:`~repro.service.scheduler.QueryScheduler` -- dynamic batching
-  of queries from many concurrent logical clients (flush on block-size
-  target, deadline or queue pressure; FIFO driver for fairness;
-  optional affinity ordering), with the block target taken from
+* :class:`~repro.service.scheduler.QueryScheduler` -- work-conserving
+  batching of queries from many concurrent logical clients (each poll
+  runs the oldest queued tickets as one block; FIFO driver for
+  fairness; optional affinity ordering), with the block cap taken from
   :class:`~repro.core.planner.QueryPlanner` cost fits when available;
 * :func:`~repro.service.session.run_in_blocks` -- the canonical block
   runner every mining driver and the CLI sit on.

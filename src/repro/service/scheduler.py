@@ -1,23 +1,26 @@
-"""Dynamic batching of similarity queries from concurrent clients.
+"""Work-conserving batching of similarity queries from concurrent clients.
 
 Sec. 3.3 of the paper argues that once the multiple similarity query
 exists as a DBMS operator, "a query optimizer can automatically use"
 it -- queries arriving independently should be *formed into blocks* by
 the system, not by every caller hand-rolling ``run_in_blocks``.
-:class:`QueryScheduler` is that optimizer stage, shaped like an
-inference-serving dynamic batcher:
+:class:`QueryScheduler` is that optimizer stage.  It batches because it
+is busy and never waits in order to batch:
 
 * clients :meth:`~QueryScheduler.submit` single queries and receive a
-  :class:`Ticket`; the scheduler accumulates them in an admission queue;
-* a block is flushed to a :class:`~repro.service.session.QuerySession`
-  when the queue reaches the *block target*, when the oldest ticket has
-  waited past the *deadline*, or when *queue pressure* exceeds the hard
-  cap -- whichever comes first;
-* the block target itself comes from the
-  :class:`~repro.core.planner.QueryPlanner` cost fits when available:
-  ``cost(m) = shared/m + marginal`` flattens quickly, so the scheduler
-  picks the knee point -- the smallest m within ``tolerance`` of the
-  asymptotic per-query cost -- rather than batching without bound;
+  :class:`Ticket`; submitting only enqueues (beyond ``max_queue``
+  waiting tickets it first runs blocks to make room);
+* every :meth:`~QueryScheduler.poll` runs one block now through a
+  :class:`~repro.service.session.QuerySession`: the oldest queued
+  tickets, up to the *block cap*.  An executor that polls whenever the
+  queue is non-empty therefore runs a lone ticket alone (m = 1), and a
+  block holds exactly the tickets that arrived while the previous one
+  ran -- more of them the busier the server;
+* the cap comes from the :class:`~repro.core.planner.QueryPlanner` cost
+  fits when available: ``cost(m) = shared/m + marginal`` flattens
+  quickly, so the scheduler picks the knee point -- the smallest m
+  within ``tolerance`` of the asymptotic per-query cost -- rather than
+  batching without bound; anomaly firings halve it;
 * the *driver* of each block is always the oldest ticket (FIFO -- no
   client starves); with ``order="affinity"`` the remaining queries are
   arranged in a greedy nearest-neighbour chain starting from the
@@ -27,7 +30,7 @@ inference-serving dynamic batcher:
   independent of block order.
 
 Time is a **logical tick clock** advanced on every submit/poll, so
-scheduling decisions are a pure function of the request sequence --
+scheduling decisions are a pure function of the call sequence --
 deterministic and testable, with wall-clock latency reported only
 through the observer metrics (``service.client_latency.seconds``,
 ``service.time_to_first_answer.seconds``).
@@ -60,18 +63,18 @@ ORDER_FIFO = "fifo"
 ORDER_AFFINITY = "affinity"
 
 #: Optimizer modes: v1 is the paper's single knee-point batcher (one
-#: block target, one engine, one access method); v2 partitions each
-#: admitted batch by predicted sharing and dispatches every partition
-#: under its own :class:`~repro.core.planner.BatchPlan` entry.
+#: block cap, one engine, one access method); v2 partitions each
+#: block by predicted sharing and dispatches every partition under its
+#: own :class:`~repro.core.planner.BatchPlan` entry.
 OPTIMIZER_V1 = "v1"
 OPTIMIZER_V2 = "v2"
 
-#: Relative slack used for the knee-point block target (re-exported
-#: from :mod:`repro.core.planner`, where the knee computation lives).
+#: Relative slack used for the knee-point block cap (re-exported from
+#: :mod:`repro.core.planner`, where the knee computation lives).
 DEFAULT_KNEE_TOLERANCE = _DEFAULT_KNEE_TOLERANCE
 
 #: Hysteresis threshold for anomaly back-off release: after an anomaly
-#: halved the block target, a knee-point refit may only *raise* it
+#: halved the block cap, a knee-point refit may only *raise* it
 #: again once the ``planner.calibration_drift`` EWMA has been observed
 #: (on at least one post-back-off audited block) below this ratio.
 DEFAULT_DRIFT_RECOVERY = 1.5
@@ -93,8 +96,8 @@ def recommend_access(fits: Sequence["CostFit"], block_size: int) -> str:
 class Ticket:
     """One client query's handle through the scheduler.
 
-    ``answers`` is ``None`` until the scheduler flushes a block
-    containing the ticket; afterwards it holds the complete answer list
+    ``answers`` is ``None`` until the scheduler runs a block containing
+    the ticket; afterwards it holds the complete answer list
     (byte-identical to a direct batch query).
     """
 
@@ -107,6 +110,8 @@ class Ticket:
     submitted_at: float = field(repr=False, default=0.0)
     answers: list[Answer] | None = None
     completed_tick: int | None = None
+    #: ``time.perf_counter()`` when the answers were filled in.
+    completed_at: float = field(repr=False, default=0.0)
     batch_size: int | None = None
     #: ``True`` when recovery was exhausted and ``answers`` holds the
     #: Def. 4 partial-answer buffer contents instead of the exact list.
@@ -116,45 +121,41 @@ class Ticket:
 
     @property
     def done(self) -> bool:
-        """Whether the ticket's block has been flushed."""
+        """Whether the ticket's block has run."""
         return self.answers is not None
 
 
 class QueryScheduler:
-    """Admission queue + dynamic batcher over one database.
+    """Admission queue + work-conserving batcher over one database.
 
     Parameters
     ----------
     database:
         The :class:`~repro.core.database.Database` to serve.
-    block_target:
-        Queue occupancy that triggers a flush.  Overridden by the knee
-        point of ``fits`` when cost fits are supplied.
     max_block:
-        Hard cap on the size of one flushed block (the memory bound of
-        Sec. 5: answer buffer and O(m^2) query-distance matrix).
-    max_wait:
-        Deadline in logical ticks: once the oldest waiting ticket is
-        this old, the next submit/poll flushes whatever is queued.
+        Cap on the size of one block (the memory bound of Sec. 5:
+        answer buffer and O(m^2) query-distance matrix).  Cost fits
+        move it to their knee point, never above this value; anomaly
+        back-off halves it.
     max_queue:
-        Queue-pressure bound: submits beyond this depth flush
-        immediately (in ``max_block`` chunks) before admitting.
+        Queue-pressure bound: submits beyond this depth run blocks
+        immediately before admitting.
     order:
         ``"fifo"`` or ``"affinity"`` (greedy nearest-neighbour chain
         after the FIFO driver; see module docstring).
     fits:
         Optional :class:`~repro.core.planner.CostFit` sequence from a
-        probe run; installs the knee-point block target and the access
+        probe run; installs the knee-point block cap and the access
         recommendation (see :meth:`replan`).
     optimizer:
-        ``"v1"`` (one knee-point block target, one engine and access
-        method for every block) or ``"v2"`` (each flushed batch is
-        partitioned by predicted sharing and every partition dispatched
-        under its own plan -- access method, engine and block size are
+        ``"v1"`` (one knee-point block cap, one engine and access
+        method for every block) or ``"v2"`` (each block is partitioned
+        by predicted sharing and every partition dispatched under its
+        own plan -- access method, engine and block size are
         per-partition decisions).  For any fixed partition assignment
-        the executed work is identical to v1: a v2 flush that forms a
+        the executed work is identical to v1: a v2 block that forms a
         single default partition is answer- and counter-byte-identical
-        to the v1 flush of the same batch.
+        to the v1 run of the same block.
     planner:
         Optional :class:`~repro.core.planner.QueryPlanner`; with
         ``optimizer="v2"`` its probed cost surface prices each partition
@@ -178,9 +179,7 @@ class QueryScheduler:
     def __init__(
         self,
         database: Any,
-        block_target: int = 8,
-        max_block: int = 32,
-        max_wait: int = 16,
+        max_block: int = 8,
         max_queue: int = 256,
         order: str = ORDER_FIFO,
         fits: Sequence["CostFit"] | None = None,
@@ -197,16 +196,13 @@ class QueryScheduler:
             raise ValueError(f"unknown optimizer {optimizer!r}")
         if max_block < 1:
             raise ValueError("max block size must be positive")
-        if block_target < 1:
-            raise ValueError("block target must be positive")
-        if max_wait < 0:
-            raise ValueError("deadline must be non-negative")
         self.database = database
         self.session = QuerySession(database, **session_options)
         self.observer = self.session.observer
+        #: The live block cap: what one :meth:`poll` takes at most.
         self.max_block = max_block
-        self.block_target = min(block_target, max_block)
-        self.max_wait = max_wait
+        #: The constructed cap, the upper end of the knee-point search.
+        self._block_bound = max_block
         self.max_queue = max_queue
         self.order = order
         self.knee_tolerance = knee_tolerance
@@ -223,7 +219,7 @@ class QueryScheduler:
         #: Cost fits adopted by the last :meth:`replan(fits=...)` call;
         #: anomaly-triggered replans reuse them.
         self._fits: list["CostFit"] | None = None
-        #: Block-target halvings triggered by anomaly firings.
+        #: Block-cap halvings triggered by anomaly firings.
         self.anomaly_replans = 0
         #: Hysteresis state: ``True`` between an anomaly halving and the
         #: first audited evidence that calibration drift recovered.
@@ -254,13 +250,13 @@ class QueryScheduler:
     ) -> None:
         """Adopt planner cost fits and/or react to anomaly firings.
 
-        With ``fits``, adopts them (knee-point block target + access
+        With ``fits``, adopts them (knee-point block cap + access
         recommendation) and remembers them; called bare, re-plans from
         the remembered fits (raising when none were ever supplied).
         ``anomalies`` -- firing records drained from the timeline's
-        :class:`~repro.obs.anomaly.AnomalyEngine` each flush -- may
+        :class:`~repro.obs.anomaly.AnomalyEngine` after each block -- may
         arrive with or without fits: any firing whose rule is marked
-        ``replan: true`` halves the block target (floor 1), the live
+        ``replan: true`` halves the block cap (floor 1), the live
         counterpart of the knee-point logic for conditions the cost
         model cannot see (degraded tickets, throughput collapse).
 
@@ -282,11 +278,13 @@ class QueryScheduler:
         if anomalies:
             self._replan_anomalies(anomalies)
 
-    def _replan_fits(self, fits: list["CostFit"]) -> None:
+    def _own_fit(self, fits: Sequence["CostFit"]) -> "CostFit":
+        """The fit of the served access method (else the cheapest),
+        calibrated by the plan audit once it has observed blocks."""
         current = self.database.access_method.name
         own = [fit for fit in fits if fit.access == current]
         fit = own[0] if own else min(
-            fits, key=lambda f: f.per_query(self.max_block)
+            fits, key=lambda f: f.per_query(self._block_bound)
         )
         if self.audit is not None and self.audit.blocks_audited:
             # Consume the audit's calibration feedback: the refit (or
@@ -294,13 +292,17 @@ class QueryScheduler:
             # cost, so the knee lands where the *measured* amortisation
             # flattens, not where the stale probe said it would.
             fit = self.audit.calibrated(fit)
-        target = knee_block_size(fit, self.max_block, self.knee_tolerance)
-        if self._anomaly_backoff and target > self.block_target:
+        return fit
+
+    def _replan_fits(self, fits: list["CostFit"]) -> None:
+        fit = self._own_fit(fits)
+        cap = knee_block_size(fit, self._block_bound, self.knee_tolerance)
+        if self._anomaly_backoff and cap > self.max_block:
             # Hysteresis against halving/refit oscillation: an anomaly
-            # halved the target, so a refit may only raise it again once
-            # at least one *post-back-off* block has been audited and the
+            # halved the cap, so a refit may only raise it again once at
+            # least one *post-back-off* block has been audited and the
             # calibration-drift EWMA sits below the recovery threshold.
-            # Until then the refit keeps the backed-off target.
+            # Until then the refit keeps the backed-off cap.
             audit = self.audit
             recovered = (
                 audit is not None
@@ -311,9 +313,9 @@ class QueryScheduler:
             if recovered:
                 self._anomaly_backoff = False
             else:
-                target = self.block_target
-        self.block_target = target
-        self.recommended_access = recommend_access(fits, self.block_target)
+                cap = self.max_block
+        self.max_block = cap
+        self.recommended_access = recommend_access(fits, self.max_block)
         cost_model = getattr(self.database, "cost_model", None)
         if self.audit is None and cost_model is not None:
             self.audit = PlanAudit(fit, cost_model, self.observer)
@@ -322,7 +324,7 @@ class QueryScheduler:
         if self.observer is not None:
             self.observer.event(
                 "service.replan",
-                block_target=self.block_target,
+                max_block=self.max_block,
                 recommended_access=self.recommended_access,
                 calibration_drift=(
                     self.audit.drift_seconds if self.audit is not None else None
@@ -332,17 +334,17 @@ class QueryScheduler:
     def _replan_anomalies(
         self, anomalies: Sequence[Mapping[str, Any]]
     ) -> None:
-        """Back off the block target when a replan-flagged rule fired.
+        """Back off the block cap when a replan-flagged rule fired.
 
         One halving per replan call no matter how many rules fired
-        together, so a noisy window cannot collapse the target to 1 in
-        a single step.
+        together, so a noisy window cannot collapse the cap to 1 in a
+        single step.
         """
         triggers = [f["rule"] for f in anomalies if f.get("replan")]
         if not triggers:
             return
         self.anomaly_replans += 1
-        self.block_target = max(1, self.block_target // 2)
+        self.max_block = max(1, self.max_block // 2)
         self._anomaly_backoff = True
         self._backoff_blocks = (
             self.audit.blocks_audited if self.audit is not None else 0
@@ -352,16 +354,16 @@ class QueryScheduler:
             self.observer.event(
                 "service.replan.anomaly",
                 rules=",".join(triggers),
-                block_target=self.block_target,
+                max_block=self.max_block,
             )
 
     # ------------------------------------------------------------------
-    # Admission
+    # Admission and execution
     # ------------------------------------------------------------------
 
     @property
     def queue_depth(self) -> int:
-        """Number of tickets waiting for a flush."""
+        """Number of tickets waiting for a block."""
         return len(self._queue)
 
     def submit(
@@ -371,19 +373,14 @@ class QueryScheduler:
         client_id: Hashable = 0,
         db_index: int | None = None,
     ) -> Ticket:
-        """Admit one client query; may trigger a flush on the way.
+        """Enqueue one client query.
 
-        Advances the logical clock by one tick, enqueues the ticket and
-        flushes if the occupancy target, the oldest ticket's deadline or
-        the queue-pressure bound is hit.  The returned ticket is filled
-        in place when its block runs.
+        Advances the logical clock by one tick and appends the ticket to
+        the queue; only when ``max_queue`` tickets already wait does it
+        first run blocks to make room.  The returned ticket is filled in
+        place when a :meth:`poll` runs its block.
         """
-        self.tick += 1
-        if (
-            self.observer is not None
-            and self.observer.timeline is not None
-        ):
-            self.observer.timeline.advance(self.tick)
+        self._advance_clock()
         while len(self._queue) >= self.max_queue:
             self._flush_block()
         self._serial += 1
@@ -407,27 +404,29 @@ class QueryScheduler:
             self.observer.metrics.set_gauge(
                 "service.queue_depth", float(len(self._queue))
             )
-        self._maybe_flush()
         return ticket
 
     def poll(self) -> None:
-        """Advance the clock one tick and apply the deadline rule.
+        """Advance the clock one tick and run one block now.
 
-        Lets an idle client (or a driving loop) age the queue so a
-        partially filled block still flushes within ``max_wait`` ticks.
+        The block is the oldest queued tickets, up to :attr:`max_block`
+        of them; an empty queue only advances the clock.
         """
+        self._advance_clock()
+        self._flush_block()
+
+    def drain(self) -> None:
+        """Poll until the queue is empty (end of the serving episode)."""
+        while self._queue:
+            self.poll()
+
+    def _advance_clock(self) -> None:
         self.tick += 1
         if (
             self.observer is not None
             and self.observer.timeline is not None
         ):
             self.observer.timeline.advance(self.tick)
-        self._maybe_flush()
-
-    def drain(self) -> None:
-        """Flush until the queue is empty (end of the serving episode)."""
-        while self._queue:
-            self._flush_block()
 
     def serve(
         self, requests: Sequence[tuple[Hashable, Any, QueryType]]
@@ -445,17 +444,8 @@ class QueryScheduler:
         return tickets
 
     # ------------------------------------------------------------------
-    # Flushing
+    # Running a block
     # ------------------------------------------------------------------
-
-    def _maybe_flush(self) -> None:
-        while len(self._queue) >= self.block_target:
-            self._flush_block()
-        if (
-            self._queue
-            and self.tick - self._queue[0].submitted_tick >= self.max_wait
-        ):
-            self._flush_block()
 
     def _order_batch(self, batch: list[Ticket]) -> list[Ticket]:
         """Arrange a block behind its FIFO driver.
@@ -480,24 +470,10 @@ class QueryScheduler:
             chain.append(remaining.pop(nearest))
         return chain
 
-    def _fallback_fit(self) -> "CostFit | None":
-        """The remembered fit pricing planner-less v2 partitions."""
-        fits = self._fits
-        if not fits:
-            return None
-        current = self.database.access_method.name
-        own = [fit for fit in fits if fit.access == current]
-        fit = own[0] if own else min(
-            fits, key=lambda f: f.per_query(self.max_block)
-        )
-        if self.audit is not None and self.audit.blocks_audited:
-            fit = self.audit.calibrated(fit)
-        return fit
-
     def _plan_partitions(
         self, raw: list[Ticket]
     ) -> list[tuple[list[Ticket], "PartitionPlan"]]:
-        """Form the v2 batch plan for one flushed batch.
+        """Form the v2 batch plan for one block.
 
         With a planner attached, the partitions are priced on its
         probed cost surface (per-partition access method and engine);
@@ -531,7 +507,7 @@ class QueryScheduler:
                 share_bound=self.share_bound,
                 max_partition=self.max_block,
             )
-            fit = self._fallback_fit()
+            fit = self._own_fit(self._fits) if self._fits else None
             parts = []
             total = 0.0
             for members in groups:
@@ -738,12 +714,13 @@ class QueryScheduler:
                     break
             ticket.answers = answers
             ticket.completed_tick = self.tick
+            ticket.completed_at = time.perf_counter()
             ticket.batch_size = len(batch)
             if observer is not None:
                 observer.metrics.inc("service.tickets.completed")
                 observer.metrics.observe(
                     "service.client_latency.seconds",
-                    time.perf_counter() - ticket.submitted_at,
+                    ticket.completed_at - ticket.submitted_at,
                 )
                 observer.metrics.observe(
                     "service.wait.ticks",
@@ -775,6 +752,7 @@ class QueryScheduler:
             ticket.degraded = True
             ticket.completeness = event.completeness
             ticket.completed_tick = self.tick
+            ticket.completed_at = time.perf_counter()
             ticket.batch_size = len(batch)
             n_degraded_tickets += 1
             if injector is not None:

@@ -318,30 +318,23 @@ def replay_in_process(
     database: Any = None,
     access: str = "xtree",
     engine: str = "auto",
-    block_target: int = 8,
-    max_block: int = 32,
-    max_wait: int = 16,
+    max_block: int = 8,
     order: str = "fifo",
 ) -> tuple[list[list[Answer] | None], LoadReport]:
     """Replay a trace through an in-process scheduler (the reference).
 
-    Submits every arrival in trace order on the logical tick clock and
-    drains -- the exact request sequence the wire path produces with
-    the pump disabled, so answers are comparable record for record.
-    Returns per-record answer lists and the report (latency here is
-    modelled-work wall time, not network time).
+    Submits every arrival in trace order as one burst and drains, so
+    answers are comparable record for record with a wire replay
+    (answers do not depend on block grouping).  Returns per-record
+    answer lists and the report; a ticket's latency runs from its
+    submit to the moment its block filled it, with no network time.
     """
     from repro.core.database import Database
 
     if database is None:
         database = Database(trace_dataset(trace), access=access, engine=engine)
     dataset = database.dataset
-    scheduler = database.serve(
-        block_target=block_target,
-        max_block=max_block,
-        max_wait=max_wait,
-        order=order,
-    )
+    scheduler = database.serve(max_block=max_block, order=order)
     started = time.perf_counter()
     tickets = [
         scheduler.submit(
@@ -367,7 +360,7 @@ def replay_in_process(
         if not ticket.done:
             continue
         report.completed += 1
-        report.latencies.append(wall / max(1, len(tickets)))
+        report.latencies.append(ticket.completed_at - ticket.submitted_at)
         if ticket.degraded:
             report.degraded += 1
             report.completenesses.append(ticket.completeness or 0.0)
@@ -430,9 +423,8 @@ async def replay_over_wire(
                     dataset[record.db_index], record.qtype, stream=stream
                 )
             )
-        # Goodbye first: it makes the server drain, which flushes any
-        # sub-block tail still queued (the request-driven server never
-        # times a partial block out on its own -- ticks are logical).
+        # Goodbye makes the server drain whatever is still queued
+        # before it answers, so every future below resolves.
         for client in clients:
             await client.bye()
         results = await asyncio.gather(*futures)

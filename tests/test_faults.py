@@ -409,7 +409,7 @@ class TestSchedulerDegradation:
             block_size=BLOCK_SIZE,
             fault_plan=crash_plan(at_ops=(2,)),
         )
-        scheduler = database.serve(block_target=3, max_block=6, max_wait=2)
+        scheduler = database.serve(max_block=3)
         tickets = [
             scheduler.submit(obj, knn_query(5), client_id=i)
             for i, obj in enumerate(queries)
@@ -434,7 +434,7 @@ class TestSchedulerDegradation:
             observer=observer,
             fault_plan=crash_plan(at_ops=(2,)),
         )
-        scheduler = database.serve(block_target=3, max_block=6, max_wait=2)
+        scheduler = database.serve(max_block=3)
         for i, obj in enumerate(queries):
             scheduler.submit(obj, knn_query(5), client_id=i)
         scheduler.drain()

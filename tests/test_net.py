@@ -148,12 +148,8 @@ class TestFraming:
 
 
 def make_server(database, **kwargs):
-    scheduler = database.serve(
-        block_target=kwargs.pop("block_target", 4),
-        max_block=kwargs.pop("max_block", 8),
-        max_wait=kwargs.pop("max_wait", 64),
-    )
-    return QueryServer(scheduler, poll_interval=0, **kwargs)
+    scheduler = database.serve(max_block=kwargs.pop("max_block", 8))
+    return QueryServer(scheduler, **kwargs)
 
 
 async def _raw_connect(server):
@@ -207,13 +203,12 @@ class TestServer:
     def test_shed_on_queue_full_carries_depth(self, vectors):
         async def run():
             database = Database(vectors, access="xtree")
-            server = make_server(
-                database, block_target=64, max_block=64, shed_depth=2
-            )
+            server = make_server(database, shed_depth=2)
             await server.start()
             client = await QueryClient.connect(*server.address)
-            # Open loop: the queue never flushes (huge block target, no
-            # pump), so depth builds until the admission bound sheds.
+            # Open loop: the four submits reach the server in one read,
+            # before the executor runs, so depth builds until the
+            # admission bound sheds.
             futures = [
                 await client.submit(vectors[i], knn_query(3))
                 for i in range(4)
@@ -234,9 +229,7 @@ class TestServer:
     def test_shed_on_client_inflight_bound(self, vectors):
         async def run():
             database = Database(vectors, access="xtree")
-            server = make_server(
-                database, block_target=64, max_block=64, max_inflight=1
-            )
+            server = make_server(database, max_inflight=1)
             await server.start()
             client = await QueryClient.connect(*server.address)
             first = await client.submit(vectors[0], knn_query(3))
@@ -379,6 +372,119 @@ class TestServer:
         assert [e["type"] for e in errors] == ["error"] * 4
         assert {e["code"] for e in errors} == {"bad-query"}
 
+    def test_db_index_must_be_an_in_range_integer(self, vectors):
+        """JSON booleans are not indices, and no index may leave the data."""
+
+        async def run():
+            database = Database(vectors, access="scan")
+            server = make_server(database)
+            await server.start()
+            _, writer, read_frames = await _raw_connect(server)
+            writer.write(encode_frame({"type": "hello", "protocol": 1}))
+            await writer.drain()
+            await read_frames()
+            query = [float(x) for x in vectors[3]]
+            bad = (True, False, -1, len(vectors), 2.0, "3")
+            for request_id, db_index in enumerate((*bad, 3), start=1):
+                writer.write(
+                    encode_frame(
+                        {
+                            "type": "submit",
+                            "id": request_id,
+                            "query": query,
+                            "qtype": qtype_to_wire(knn_query(3)),
+                            "db_index": db_index,
+                        }
+                    )
+                )
+            writer.write(encode_frame({"type": "bye"}))
+            await writer.drain()
+            frames = await read_frames(len(bad) + 2)
+            writer.close()
+            await server.shutdown()
+            return frames
+
+        frames = asyncio.run(run())
+        errors = {f["id"]: f["code"] for f in frames if f["type"] == "error"}
+        assert errors == {request_id: "bad-query" for request_id in range(1, 7)}
+        (result,) = [f for f in frames if f["type"] == "result"]
+        assert result["id"] == 7 and result["answers"][0] == [3, 0.0]
+
+    def test_query_must_match_the_database_dimension(self, vectors):
+        """A wrong-length vector is refused before it reaches a block."""
+
+        async def run():
+            database = Database(vectors, access="scan")
+            server = make_server(database)
+            await server.start()
+            _, writer, read_frames = await _raw_connect(server)
+            writer.write(encode_frame({"type": "hello", "protocol": 1}))
+            await writer.drain()
+            await read_frames()
+            good = [float(x) for x in vectors[3]]
+            queries = (good[:-1], good + [0.5], good)
+            for request_id, query in enumerate(queries, start=1):
+                writer.write(
+                    encode_frame(
+                        {
+                            "type": "submit",
+                            "id": request_id,
+                            "query": query,
+                            "qtype": qtype_to_wire(knn_query(3)),
+                        }
+                    )
+                )
+            writer.write(encode_frame({"type": "bye"}))
+            await writer.drain()
+            frames = await read_frames(len(queries) + 1)
+            writer.close()
+            await server.shutdown()
+            return frames
+
+        frames = asyncio.run(run())
+        errors = {f["id"]: f["code"] for f in frames if f["type"] == "error"}
+        assert errors == {1: "bad-query", 2: "bad-query"}
+        (result,) = [f for f in frames if f["type"] == "result"]
+        assert result["id"] == 3 and result["answers"][0] == [3, 0.0]
+
+    def test_one_pipelining_connection_stays_within_its_inflight_bound(
+        self, vectors
+    ):
+        """Submits arriving in one read are admitted a block at a time."""
+        n_queries = 48
+
+        async def run():
+            database = Database(vectors, access="scan")
+            server = make_server(database, max_block=4, max_inflight=8)
+            await server.start()
+            _, writer, read_frames = await _raw_connect(server)
+            writer.write(encode_frame({"type": "hello", "protocol": 1}))
+            await writer.drain()
+            await read_frames()
+            writer.write(
+                b"".join(
+                    encode_frame(
+                        {
+                            "type": "submit",
+                            "id": request_id,
+                            "query": [float(x) for x in vectors[request_id]],
+                            "qtype": qtype_to_wire(knn_query(3)),
+                        }
+                    )
+                    for request_id in range(n_queries)
+                )
+                + encode_frame({"type": "bye"})
+            )
+            await writer.drain()
+            frames = await read_frames(n_queries + 1)
+            writer.close()
+            await server.shutdown()
+            return frames
+
+        frames = asyncio.run(run())
+        assert [f["type"] for f in frames[:-1]] == ["result"] * n_queries
+        assert frames[-1]["type"] == "bye_ok"
+
     def test_degraded_answers_stream_with_completeness(self, vectors):
         queries = [vectors[i] for i in (3, 101, 256, 430, 599, 77)]
 
@@ -386,7 +492,7 @@ class TestServer:
             database = Database(
                 vectors, access="xtree", block_size=2048, fault_plan=crash_plan()
             )
-            server = make_server(database, block_target=3, max_block=6)
+            server = make_server(database, max_block=6)
             await server.start()
             client = await QueryClient.connect(*server.address)
             futures = [
@@ -410,7 +516,7 @@ class TestServer:
     def test_stats_and_retire(self, vectors):
         async def run():
             database = Database(vectors, access="xtree")
-            server = make_server(database, block_target=64, max_block=64)
+            server = make_server(database)
             await server.start()
             client = await QueryClient.connect(*server.address)
             await client.submit(vectors[0], knn_query(3))
@@ -432,17 +538,19 @@ class TestServer:
         async def run():
             observer = Observer(trace=False)
             database = Database(vectors, access="xtree", observer=observer)
-            # block_target=1: with the pump off, the lone closed-loop
-            # ask below must flush on occupancy, not on a deadline.
-            server = make_server(database, block_target=1)
+            server = make_server(database)
             await server.start()
             client = await QueryClient.connect(*server.address)
-            await client.ask(vectors[0], knn_query(3))
+            # Closed loop, no bye: the lone ticket must run on its own.
+            result = await asyncio.wait_for(
+                client.ask(vectors[0], knn_query(3)), timeout=5
+            )
             await client.bye()
             await server.shutdown()
-            return observer.metrics.snapshot()
+            return result, observer.metrics.snapshot()
 
-        snapshot = asyncio.run(run())
+        result, snapshot = asyncio.run(run())
+        assert result.batch_size == 1
         counters = snapshot["counters"]
         assert counters["service.net.connections.opened"] == 1
         assert counters["service.net.submits"] == 1
@@ -491,10 +599,7 @@ class TestLoadgen:
 
         async def run():
             database = Database(trace_dataset(trace), access="xtree")
-            scheduler = database.serve(
-                block_target=8, max_block=32, max_wait=16, order="fifo"
-            )
-            server = QueryServer(scheduler, poll_interval=0)
+            server = QueryServer(database.serve(order="fifo"))
             await server.start()
             host, port = server.address
             answers, report = await replay_over_wire(
@@ -637,7 +742,6 @@ class TestCLI:
             [
                 sys.executable, "-m", "repro", "serve",
                 "--listen", "127.0.0.1:0", "--objects", "600",
-                "--poll-interval", "0",
             ],
             stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
             env=_repro_env(),

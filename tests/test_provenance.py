@@ -231,7 +231,7 @@ class TestPlanAudit:
         plan = planner.plan(8, knn_query(5), max_block_size=4)
         database = planner.database_for(plan)
         database.attach_observer(observer)
-        scheduler = database.serve(block_target=plan.block_size, max_block=4)
+        scheduler = database.serve(max_block=4)
         scheduler.replan(plan.fits)
         assert scheduler.audit is not None
         for i in range(8):
@@ -314,7 +314,7 @@ class TestPlanAudit:
                 }
             )
         )
-        scheduler = database.serve(block_target=2, max_block=2)
+        scheduler = database.serve(max_block=2)
         scheduler.replan([self._fit()])
         for i in range(4):
             scheduler.submit(vectors[i], knn_query(3))

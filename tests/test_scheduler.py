@@ -1,8 +1,8 @@
-"""Tests for the dynamic-batching query scheduler (satellite 3).
+"""Tests for the work-conserving query scheduler.
 
 Pins the scheduling semantics: deterministic logical-tick decisions,
 FIFO fairness (the block driver is always the oldest ticket, a lone
-ticket flushes within the deadline), answer identity with the plain
+ticket runs alone on the next poll), answer identity with the plain
 block path, and traced==untraced identity across every access method.
 """
 
@@ -84,32 +84,36 @@ class TestKneePoint:
 
 
 class TestFlushTriggers:
-    def test_occupancy_target_flushes(self, vectors):
-        scheduler = make_db(vectors).serve(block_target=3, max_wait=100)
-        t1 = scheduler.submit(vectors[0], knn_query(3), client_id="a")
-        t2 = scheduler.submit(vectors[5], knn_query(3), client_id="b")
-        assert not t1.done and scheduler.queue_depth == 2
-        t3 = scheduler.submit(vectors[9], knn_query(3), client_id="c")
-        assert t1.done and t2.done and t3.done
+    def test_submit_only_enqueues_and_poll_runs_the_oldest_up_to_the_cap(
+        self, vectors
+    ):
+        scheduler = make_db(vectors).serve(max_block=3)
+        tickets = [
+            scheduler.submit(vectors[i * 5], knn_query(3), client_id=i)
+            for i in range(5)
+        ]
+        assert not any(t.done for t in tickets)
+        assert scheduler.queue_depth == 5
+        scheduler.poll()
+        assert [t.done for t in tickets] == [True] * 3 + [False] * 2
+        assert {t.batch_size for t in tickets[:3]} == {3}
+        scheduler.poll()
+        assert all(t.done for t in tickets) and tickets[3].batch_size == 2
         assert scheduler.queue_depth == 0
-        assert t1.batch_size == 3
 
-    def test_deadline_flushes_a_lone_ticket(self, vectors):
-        """No client starves: a single ticket flushes within max_wait."""
-        scheduler = make_db(vectors).serve(block_target=100, max_wait=3)
+    def test_lone_ticket_runs_alone_on_the_next_poll(self, vectors):
+        """Never wait in order to batch: m = 1 when nothing else waits."""
+        scheduler = make_db(vectors).serve()
         ticket = scheduler.submit(vectors[0], knn_query(3))
-        polls = 0
-        while not ticket.done:
-            scheduler.poll()
-            polls += 1
-            assert polls <= 3, "deadline did not fire within max_wait ticks"
-        assert ticket.batch_size == 1
-        assert ticket.completed_tick - ticket.submitted_tick <= 3
+        scheduler.poll()
+        assert ticket.done and ticket.batch_size == 1
+        assert ticket.completed_tick - ticket.submitted_tick == 1
+        assert ticket.completed_at >= ticket.submitted_at
+        scheduler.poll()  # an empty queue only advances the clock
+        assert scheduler.tick == 3
 
     def test_queue_pressure_flushes_before_admitting(self, vectors):
-        scheduler = make_db(vectors).serve(
-            block_target=100, max_block=4, max_wait=1000, max_queue=4
-        )
+        scheduler = make_db(vectors).serve(max_block=4, max_queue=4)
         tickets = [
             scheduler.submit(vectors[i], knn_query(3)) for i in range(5)
         ]
@@ -118,7 +122,7 @@ class TestFlushTriggers:
         assert scheduler.queue_depth == 1
 
     def test_drain_completes_everything(self, vectors):
-        scheduler = make_db(vectors).serve(block_target=100, max_wait=1000)
+        scheduler = make_db(vectors).serve()
         tickets = [
             scheduler.submit(vectors[i], knn_query(3)) for i in range(5)
         ]
@@ -131,8 +135,6 @@ class TestFlushTriggers:
         with pytest.raises(ValueError):
             db.serve(order="random")
         with pytest.raises(ValueError):
-            db.serve(block_target=0)
-        with pytest.raises(ValueError):
             db.serve(max_block=0)
 
 
@@ -143,7 +145,7 @@ class TestDeterminism:
 
         def run():
             db = make_db(vectors)
-            scheduler = db.serve(block_target=4, order=order)
+            scheduler = db.serve(max_block=4, order=order)
             tickets = scheduler.serve(trace)
             return (
                 [as_tuples(t.answers) for t in tickets],
@@ -160,7 +162,7 @@ class TestAnswerIdentity:
         """Batching and block order never change any client's answers."""
         trace = round_robin_trace(vectors)
         db = make_db(vectors)
-        tickets = db.serve(block_target=4, order=order).serve(trace)
+        tickets = db.serve(max_block=4, order=order).serve(trace)
         reference_db = make_db(vectors)
         for ticket, (_, obj, qtype) in zip(tickets, trace):
             want = reference_db.similarity_query(obj, qtype)
@@ -171,11 +173,11 @@ class TestAnswerIdentity:
         trace = round_robin_trace(vectors, n_clients=3, per_client=3)
 
         plain_db = make_db(vectors, access)
-        plain = plain_db.serve(block_target=4).serve(trace)
+        plain = plain_db.serve(max_block=4).serve(trace)
 
         observer = Observer(trace=True)
         traced_db = make_db(vectors, access, observer=observer)
-        traced = traced_db.serve(block_target=4).serve(trace)
+        traced = traced_db.serve(max_block=4).serve(trace)
 
         assert [as_tuples(t.answers) for t in plain] == [
             as_tuples(t.answers) for t in traced
@@ -191,18 +193,16 @@ class TestFairness:
         for order in (ORDER_FIFO, ORDER_AFFINITY):
             observer = Observer(trace=True)
             db = make_db(vectors, observer=observer)
-            scheduler = db.serve(block_target=4, order=order)
+            scheduler = db.serve(max_block=4, order=order)
             tickets = scheduler.serve(round_robin_trace(vectors))
             # Tickets complete in submission order (block = FIFO prefix).
             completed = [t.completed_tick for t in tickets]
             assert completed == sorted(completed)
-            waits = [t.completed_tick - t.submitted_tick for t in tickets]
-            assert max(waits) <= scheduler.block_target
+            # The burst drains as consecutive FIFO slices of the cap.
+            assert [t.batch_size for t in tickets] == [4] * len(tickets)
 
     def test_affinity_keeps_driver_and_permutes_rest(self, vectors):
-        scheduler = make_db(vectors).serve(
-            block_target=100, max_wait=1000, order=ORDER_AFFINITY
-        )
+        scheduler = make_db(vectors).serve(order=ORDER_AFFINITY)
         tickets = [
             scheduler.submit(vectors[i * 50], knn_query(3), client_id=i)
             for i in range(6)
@@ -217,13 +217,13 @@ class TestReplan:
     def test_replan_installs_knee_target_and_recommendation(self, vectors):
         observer = Observer(trace=True)
         db = make_db(vectors, "xtree", observer=observer)
-        scheduler = db.serve(block_target=2, max_block=32)
+        scheduler = db.serve(max_block=32)
         fits = [
             CostFit(access="xtree", shared_seconds=1.0, marginal_seconds=0.1),
             CostFit(access="scan", shared_seconds=0.0, marginal_seconds=5.0),
         ]
         scheduler.replan(fits)
-        assert scheduler.block_target == knee_block_size(fits[0], 32)
+        assert scheduler.max_block == knee_block_size(fits[0], 32)
         assert scheduler.recommended_access == "xtree"
         names = {r["name"] for r in observer.tracer.records()}
         assert "service.replan" in names
@@ -240,14 +240,14 @@ class TestReplan:
     def test_fits_at_construction(self, vectors):
         fits = [CostFit(access="xtree", shared_seconds=1.0, marginal_seconds=0.1)]
         scheduler = QueryScheduler(make_db(vectors, "xtree"), fits=fits)
-        assert scheduler.block_target == knee_block_size(fits[0], 32)
+        assert scheduler.max_block == knee_block_size(fits[0], 8)
 
 
 class TestServiceMetrics:
     def test_serving_records_queue_and_latency_metrics(self, vectors):
         observer = Observer(trace=False)
         db = make_db(vectors, observer=observer)
-        db.serve(block_target=4).serve(round_robin_trace(vectors))
+        db.serve(max_block=4).serve(round_robin_trace(vectors))
         snapshot = observer.metrics.snapshot()
         hists = snapshot["histograms"]
         assert hists["service.batch_occupancy"]["count"] >= 4
@@ -277,34 +277,34 @@ def mixed_trace(vectors, n_clients=4, per_client=4):
 
 
 class TestReplanHysteresis:
-    """Satellite 1: no block-target oscillation after an anomaly halving."""
+    """No block-cap oscillation after an anomaly halving."""
 
     FITS = [CostFit(access="xtree", shared_seconds=1.0, marginal_seconds=0.1)]
     FIRING = [{"rule": "latency_collapse", "replan": True}]
 
     def _scheduler(self, vectors):
-        scheduler = make_db(vectors, "xtree").serve(block_target=8, max_block=32)
+        scheduler = make_db(vectors, "xtree").serve(max_block=32)
         scheduler.replan(self.FITS)
-        return scheduler, scheduler.block_target
+        return scheduler, scheduler.max_block
 
     def test_anomaly_halves_and_refit_does_not_reraise(self, vectors):
         scheduler, knee = self._scheduler(vectors)
         scheduler.replan(anomalies=self.FIRING)
-        halved = scheduler.block_target
+        halved = scheduler.max_block
         assert halved == max(1, knee // 2)
         # A refit alone must NOT re-raise the target: no post-back-off
         # block has been audited yet (this was the oscillation bug).
         scheduler.replan(self.FITS)
-        assert scheduler.block_target == halved
+        assert scheduler.max_block == halved
 
     def test_unrecovered_drift_keeps_backed_off_target(self, vectors):
         scheduler, _ = self._scheduler(vectors)
         scheduler.replan(anomalies=self.FIRING)
-        halved = scheduler.block_target
+        halved = scheduler.max_block
         scheduler.audit.blocks_audited += 1  # a post-back-off block...
         scheduler.audit.drift_seconds = 5.0  # ...but drift still high
         scheduler.replan(self.FITS)
-        assert scheduler.block_target == halved
+        assert scheduler.max_block == halved
 
     def test_recovered_drift_releases_the_backoff(self, vectors):
         scheduler, knee = self._scheduler(vectors)
@@ -312,18 +312,18 @@ class TestReplanHysteresis:
         scheduler.audit.blocks_audited += 1
         scheduler.audit.drift_seconds = 1.0  # below DEFAULT_DRIFT_RECOVERY
         scheduler.replan(self.FITS)
-        assert scheduler.block_target == knee
+        assert scheduler.max_block == knee
 
     def test_repeated_anomaly_and_refit_never_oscillates(self, vectors):
         scheduler, _ = self._scheduler(vectors)
         scheduler.replan(anomalies=self.FIRING)
-        floor = scheduler.block_target
+        floor = scheduler.max_block
         scheduler.audit.drift_seconds = 5.0
         for _ in range(4):
             scheduler.replan(self.FITS)
-            assert scheduler.block_target == floor
+            assert scheduler.max_block == floor
             scheduler.replan(anomalies=self.FIRING)
-            floor = scheduler.block_target
+            floor = scheduler.max_block
         assert floor == 1  # monotone decay, never a re-raise in between
 
 
@@ -341,7 +341,7 @@ class TestHeterogeneousBatches:
     def test_v1_orders_answer_identity_and_fairness(self, vectors, order):
         trace = mixed_trace(vectors)
         reference = self.reference_answers(vectors, trace)
-        scheduler = make_db(vectors).serve(block_target=4, order=order)
+        scheduler = make_db(vectors).serve(max_block=4, order=order)
         tickets = scheduler.serve(trace)
         assert [as_tuples(t.answers) for t in tickets] == reference
         completions = {}
@@ -353,7 +353,7 @@ class TestHeterogeneousBatches:
         trace = mixed_trace(vectors)
         reference = self.reference_answers(vectors, trace)
         scheduler = make_db(vectors).serve(
-            block_target=8, max_block=16, optimizer="v2"
+            max_block=16, optimizer="v2"
         )
         tickets = scheduler.serve(trace)
         assert [as_tuples(t.answers) for t in tickets] == reference
@@ -371,7 +371,7 @@ class TestHeterogeneousBatches:
             vectors, candidates=("scan", "xtree"), probe_queries=4
         )
         scheduler = make_db(vectors).serve(
-            block_target=8, max_block=16, optimizer="v2", planner=planner
+            max_block=16, optimizer="v2", planner=planner
         )
         tickets = scheduler.serve(trace)
         assert [as_tuples(t.answers) for t in tickets] == reference
@@ -387,8 +387,7 @@ class TestOptimizerV2Identity:
         for optimizer, share_bound in (("v1", None), ("v2", np.inf)):
             db = make_db(vectors, access)
             scheduler = db.serve(
-                block_target=4,
-                max_block=16,
+                max_block=4,
                 optimizer=optimizer,
                 share_bound=share_bound,
             )
@@ -407,7 +406,7 @@ class TestOptimizerV2Identity:
     def test_v2_emits_partition_metrics_and_plan_events(self, vectors):
         observer = Observer(trace=True)
         db = make_db(vectors, observer=observer)
-        scheduler = db.serve(block_target=8, max_block=16, optimizer="v2")
+        scheduler = db.serve(max_block=16, optimizer="v2")
         scheduler.serve(mixed_trace(vectors))
         snapshot = observer.metrics.snapshot()
         assert snapshot["histograms"]["planner.partition.count"]["count"] >= 1

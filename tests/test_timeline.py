@@ -566,21 +566,21 @@ class TestAnomalyReplanLoop:
         assert timeline.drain_anomalies() == []  # drained exactly once
         assert list(timeline.anomaly_log)  # dashboard feed keeps a copy
 
-    def test_scheduler_replan_halves_block_target_once_per_batch(
+    def test_scheduler_replan_halves_the_cap_once_per_batch(
         self, vectors
     ):
         database = Database(vectors, access="scan")
-        scheduler = database.serve(block_target=8, max_block=8)
+        scheduler = database.serve(max_block=8)
         firing = {"rule": "degraded", "replan": True}
         scheduler.replan(anomalies=[firing, firing])
-        assert scheduler.block_target == 4  # one halving per drain batch
+        assert scheduler.max_block == 4  # one halving per drain batch
         assert scheduler.anomaly_replans == 1
         scheduler.replan(anomalies=[{"rule": "quiet", "replan": False}])
-        assert scheduler.block_target == 4
+        assert scheduler.max_block == 4
         assert scheduler.anomaly_replans == 1
         for _ in range(5):
             scheduler.replan(anomalies=[firing])
-        assert scheduler.block_target == 1  # floors at one, never zero
+        assert scheduler.max_block == 1  # floors at one, never zero
 
     def test_crash_faults_fire_the_rule_and_shrink_blocks(self, vectors):
         from repro.faults import FaultPlan
@@ -605,14 +605,14 @@ class TestAnomalyReplanLoop:
                 }
             )
         )
-        scheduler = database.serve(block_target=4, max_block=4)
+        scheduler = database.serve(max_block=4)
         for i in range(8):
             scheduler.submit(vectors[i], knn_query(3))
         scheduler.drain()
         counters = observer.metrics.snapshot()["counters"]
         assert counters.get("anomaly.fired.degraded", 0) >= 1
         assert scheduler.anomaly_replans >= 1
-        assert scheduler.block_target < 4
+        assert scheduler.max_block < 4
         assert counters.get("service.replan.anomaly", 0) >= 1
 
     def test_replan_without_fits_or_anomalies_raises(self, vectors):
@@ -721,7 +721,7 @@ class TestDashboard:
             TimelineCollector(observer.metrics, window_ticks=1)
         )
         database = Database(vectors, access="scan", observer=observer)
-        scheduler = database.serve(block_target=2, max_block=4)
+        scheduler = database.serve(max_block=2)
         for i in range(6):
             scheduler.submit(vectors[i], knn_query(3))
         scheduler.drain()
