@@ -35,7 +35,6 @@ def test_access_method_ablation(benchmark, config):
                     qtype,
                     block_size=len(queries),
                     db_indices=indices,
-                    warm_start=access != "scan",
                 )
             results[access] = handle
         return results

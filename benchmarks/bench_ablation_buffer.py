@@ -22,7 +22,6 @@ def test_buffer_ablation(benchmark, config):
                     qtype,
                     block_size=m,
                     db_indices=indices,
-                    warm_start=True,
                 )
             results[fraction] = handle
         return results

@@ -86,7 +86,6 @@ def _time_once(engine: str, mode: str, vectors, queries, indices) -> dict:
         knn_query(10),
         block_size=BLOCK_SIZE,
         db_indices=indices,
-        warm_start=True,
     )
     cards = 0
     if mode == "provenance":

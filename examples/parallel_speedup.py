@@ -29,7 +29,6 @@ def main() -> None:
             knn_query(k),
             block_size=base_m,
             db_indices=base_queries,
-            warm_start=True,
         )
     base_cost = baseline.total_seconds / base_m
     print(f"sequential multiple query (m={base_m}): {base_cost * 1000:6.2f} ms/query")

@@ -39,7 +39,6 @@ def main() -> None:
             qtype,
             block_size=len(queries),
             db_indices=query_indices,
-            warm_start=True,
         )
 
     # Same answers either way.

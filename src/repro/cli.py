@@ -174,11 +174,7 @@ def _cmd_demo(args: argparse.Namespace) -> int:
     database.cold()
     with database.measure() as multi:
         answers = database.run_in_blocks(
-            queries,
-            knn_query(10),
-            block_size=len(queries),
-            db_indices=indices,
-            warm_start=args.access != "scan",
+            queries, knn_query(10), block_size=len(queries), db_indices=indices
         )
     print(
         f"{args.queries} k-NN queries, one at a time: "
@@ -198,11 +194,7 @@ def _cmd_demo(args: argparse.Namespace) -> int:
             database.disable_prefilter()
             database.cold()
             exact = database.run_in_blocks(
-                queries,
-                knn_query(10),
-                block_size=len(queries),
-                db_indices=indices,
-                warm_start=args.access != "scan",
+                queries, knn_query(10), block_size=len(queries), db_indices=indices
             )
             recall = measure_recall(exact, answers)
             print(
@@ -1238,17 +1230,17 @@ def main(argv: list[str] | None = None) -> int:
         "--anomaly",
         default=None,
         metavar="SPEC",
-        help="evaluate anomaly rules from a spec file (JSON or the YAML "
-        "subset) against every timeline window; replan-flagged firings "
-        "halve the scheduler's block cap",
+        help="evaluate anomaly rules from a JSON spec file against every "
+        "timeline window; replan-flagged firings halve the scheduler's "
+        "block cap",
     )
     serve.add_argument(
         "--slo",
         default=None,
         metavar="SPEC",
-        help="evaluate service-level objectives from a spec file "
-        "(JSON or the YAML subset, see docs/observability.md); "
-        "exits non-zero on any breached objective",
+        help="evaluate service-level objectives from a JSON spec file "
+        "(see docs/observability.md); exits non-zero on any breached "
+        "objective",
     )
     serve.add_argument(
         "--slo-report",

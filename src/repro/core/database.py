@@ -335,7 +335,6 @@ class Database:
         use_avoidance: bool = True,
         max_pivots: int | None = None,
         seed_from_queries: bool = False,
-        warm_start: bool = False,
         matrix_mode: str = "eager",
         prefilter: Any = None,
     ) -> MultiQueryProcessor:
@@ -346,7 +345,6 @@ class Database:
             engine=engine,
             use_avoidance=use_avoidance,
             seed_from_queries=seed_from_queries,
-            warm_start=warm_start,
             matrix_mode=matrix_mode,
             prefilter=prefilter,
             **kwargs,
@@ -358,7 +356,6 @@ class Database:
         use_avoidance: bool = True,
         max_pivots: int | None = None,
         seed_from_queries: bool = False,
-        warm_start: bool = False,
         matrix_mode: str = "eager",
         prefilter: Any = None,
         access: str | None = None,
@@ -381,7 +378,6 @@ class Database:
             use_avoidance=use_avoidance,
             max_pivots=max_pivots,
             seed_from_queries=seed_from_queries,
-            warm_start=warm_start,
             matrix_mode=matrix_mode,
             prefilter=prefilter,
             access=access,
@@ -442,7 +438,6 @@ class Database:
         block_size: int,
         use_avoidance: bool = True,
         db_indices: Sequence[int | None] | None = None,
-        warm_start: bool = False,
         engine: str | None = None,
     ) -> list[list[Answer]]:
         """Process M queries in consecutive blocks of ``block_size``.
@@ -461,7 +456,6 @@ class Database:
             block_size,
             use_avoidance=use_avoidance,
             db_indices=db_indices,
-            warm_start=warm_start,
             engine=engine,
         )
 

@@ -25,6 +25,7 @@ queries still pending.
 
 from __future__ import annotations
 
+import math
 import zlib
 from collections import OrderedDict
 from typing import Any, Hashable, Iterator, Sequence
@@ -245,16 +246,6 @@ class MultiQueryProcessor:
         ``"eager"`` (paper scheme: the full pairwise matrix is paid per
         block) or ``"lazy"`` (pairs computed at first use; addresses the
         Sec. 7 future-work item on matrix initialisation overhead).
-    warm_start:
-        Definition 4 only requires the driver's answers to be complete;
-        ``determine_relevant_data_pages`` may add any pages relevant to
-        the other queries.  With warm start, each newly admitted query
-        has its single best page (the head of its own page stream)
-        processed immediately, which collapses its query distance to a
-        near-final value and makes both the page-relevance test and the
-        avoidance lemmas effective from the first driver call.  Answers
-        are unaffected.  Ignored for sequential access methods, whose
-        streams are not distance-ranked.
     observer:
         Optional :class:`~repro.obs.Observer`.  Defaults to the
         database's attached observer; when neither is set the processor
@@ -283,7 +274,6 @@ class MultiQueryProcessor:
         use_avoidance: bool = True,
         max_pivots: int = DEFAULT_MAX_PIVOTS,
         seed_from_queries: bool = False,
-        warm_start: bool = False,
         use_lemma1: bool = True,
         use_lemma2: bool = True,
         matrix_mode: str = MATRIX_EAGER,
@@ -313,7 +303,6 @@ class MultiQueryProcessor:
         self.use_lemma1 = use_lemma1
         self.use_lemma2 = use_lemma2
         self.seed_from_queries = seed_from_queries
-        self.warm_start = warm_start and not self.access.sequential_data_access
         if prefilter is None:
             prefilter = getattr(database, "prefilter", None)
             if prefilter is not None and self.access is not database.access_method:
@@ -459,7 +448,19 @@ class MultiQueryProcessor:
     ) -> tuple[PendingQuery, list[PendingQuery]]:
         """Append queries at the window tail, then take the head off.  A key
         already in the window keeps its place (a duplicate shares its
-        pending); newcomers are seeded against the whole window and warmed."""
+        pending).  Newcomers are warmed, then seeded against the whole
+        window.
+
+        Warm start (DESIGN.md decision 10): a newcomer whose query
+        distance is still infinite -- an unsaturated k-NN query -- would
+        be relevant to every page the batch reads and never pruned by
+        Lemma 1/2, so when it joins a multiple query (m > 1) on a ranked
+        access method its best page is processed first.  A lone query, a
+        query already holding a finite bound, scans and access methods
+        whose every stream re-scans a filter file are left alone.
+        Warming runs before seeding, which would make the radius finite;
+        the warm page heads the stream under any valid radius, so the
+        order costs nothing."""
         qtypes = self._broadcast_types(qtypes, len(query_objs))
         if len(query_objs) != len(qtypes):
             raise ValueError("need one query type per query object")
@@ -479,17 +480,22 @@ class MultiQueryProcessor:
             if id(pending) not in window:
                 window[id(pending)] = pending
                 joined.append(pending)
+        access = self.access
+        if len(window) > 1 and not (
+            access.sequential_data_access or access.stream_scans_filter
+        ):
+            self.warm_up([p for p in joined if math.isinf(p.radius)])
         if joined and self.seed_from_queries:
             self.seed_radius_hints(joined, list(window.values()))
-        if self.warm_start:
-            self.warm_up(joined)
         if not window:
             raise ValueError("the query window is empty")
         __, driver = window.popitem(last=False)
         return driver, list(window.values())
 
     def warm_up(self, pendings: Sequence[PendingQuery]) -> None:
-        """Process each new query's best page to tighten its radius."""
+        """Process each query's best page to tighten its radius (the
+        window warms its own newcomers; the parallel executor's home-bound
+        phase calls this directly)."""
         counters = self.space.counters
         for pending in pendings:
             if pending.complete or pending.warmed:

@@ -478,7 +478,6 @@ class QueryPlanner:
                 qtype,
                 block_size=self.probe_block,
                 db_indices=indices,
-                warm_start=not database.access_method.sequential_data_access,
                 engine=engine,
             )
         cost_block = (

@@ -206,15 +206,10 @@ def _parallel_per_query_cost(
     queries = [dataset[i] for i in query_indices]
     qtype = knn_query(dataset_k(name, config))
     parallel = ParallelDatabase(dataset, n_servers=n_servers, access=access)
-    # No per-server warm start: the home-bound broadcast phase already
-    # establishes tight query distances, and warming every query on
-    # every server would add one full page of distance calculations per
-    # (query, server) pair.
+    # The home-bound broadcast phase leaves every query with a finite
+    # bound, so no server warms a query (DESIGN.md decision 10).
     run = parallel.multiple_similarity_query(
-        queries,
-        qtype,
-        db_indices=query_indices,
-        warm_start=False,
+        queries, qtype, db_indices=query_indices
     )
     cost = run.elapsed_seconds / n_queries
     _parallel_cache[key] = cost
@@ -325,7 +320,6 @@ def run_k_robustness(config: ExperimentConfig | None = None) -> FigureResult:
                         knn_query(k),
                         block_size=len(queries),
                         db_indices=query_indices,
-                        warm_start=access != "scan",
                     )
                 values.append(handle.total_seconds / len(queries))
             result.series.append(

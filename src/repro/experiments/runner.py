@@ -133,7 +133,6 @@ def sweep(name: str, access: str, config: ExperimentConfig) -> dict[int, CostPoi
     query_indices = workload_queries(name, config)
     queries = [database.dataset[i] for i in query_indices]
     qtype = knn_query(dataset_k(name, config))
-    warm = access != "scan"
     points: dict[int, CostPoint] = {}
     sidecar: dict[int, dict] = {}
     for m in config.m_values:
@@ -144,7 +143,6 @@ def sweep(name: str, access: str, config: ExperimentConfig) -> dict[int, CostPoi
                 qtype,
                 block_size=m,
                 db_indices=query_indices,
-                warm_start=warm,
             )
         n = len(queries)
         points[m] = CostPoint(

@@ -153,6 +153,11 @@ class AccessMethod:
     #: sequential scan over consecutive physical addresses.
     sequential_data_access: bool = False
 
+    #: Whether opening a page stream first scans a whole filter file (the
+    #: VA-file's approximations), so every stream costs a full pass
+    #: before its first data page.
+    stream_scans_filter: bool = False
+
     def __init__(self, dataset: Dataset, space: MetricSpace, disk: SimulatedDisk):
         self.dataset = dataset
         self.space = space

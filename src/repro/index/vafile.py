@@ -110,6 +110,7 @@ class VAFile(AccessMethod):
 
     name = "vafile"
     sequential_data_access = False
+    stream_scans_filter = True
 
     def __init__(
         self,

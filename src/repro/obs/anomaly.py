@@ -1,7 +1,6 @@
 """Online anomaly detection over timeline windows.
 
-Declarative rules -- loaded from JSON or the same dependency-free
-mini-YAML subset :mod:`repro.obs.slo` parses -- are evaluated by an
+Declarative rules -- loaded from a dict or a JSON file -- are evaluated by an
 :class:`AnomalyEngine` against every window the
 :class:`~repro.obs.timeline.TimelineCollector` closes.  Three rule
 kinds cover the ROADMAP's "replan adaptively from live metrics" loop:
@@ -39,8 +38,6 @@ import os
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Mapping, Sequence
 
-from repro.obs.slo import _parse_mini_yaml
-
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.obs.observer import Observer
 
@@ -50,7 +47,7 @@ KIND_RATIO = "ratio_to_baseline"
 
 _KINDS = (KIND_THRESHOLD, KIND_EWMA, KIND_RATIO)
 
-#: Comparison operators (YAML authors must quote the symbol forms).
+#: Comparison operators.
 _OPS = {
     ">": lambda a, b: a > b,
     ">=": lambda a, b: a >= b,
@@ -342,15 +339,14 @@ def parse_anomaly_spec(spec: Mapping[str, Any]) -> list[AnomalyRule]:
 def load_anomaly_spec(
     source: Mapping[str, Any] | str,
 ) -> tuple[list[AnomalyRule], str | None]:
-    """Load ``(rules, baseline_store_path)`` from a dict/JSON/YAML spec.
+    """Load ``(rules, baseline_store_path)`` from a dict or JSON spec.
 
-    A string is a file path; JSON is tried first, then the mini-YAML
-    subset shared with :mod:`repro.obs.slo`.  A relative
-    ``baseline_store`` in a file-loaded spec is resolved against the
-    working directory first, then the spec file's directory, then the
-    spec's parent directory -- so the committed ``ci/anomaly.yml``
-    (which names ``benchmarks/baselines.json`` relative to the
-    repository root) works from any working directory.
+    A string is a JSON file path.  A relative ``baseline_store`` in a
+    file-loaded spec is resolved against the working directory first,
+    then the spec file's directory, then the spec's parent directory --
+    so the committed ``ci/anomaly.json`` (which names
+    ``benchmarks/baselines.json`` relative to the repository root) works
+    from any working directory.
     """
     spec_dir: str | None = None
     if isinstance(source, Mapping):
@@ -358,11 +354,7 @@ def load_anomaly_spec(
     else:
         spec_dir = os.path.dirname(os.path.abspath(source))
         with open(source, "r", encoding="utf-8") as handle:
-            text = handle.read()
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError:
-            data = _parse_mini_yaml(text)
+            data = json.load(handle)
         if not isinstance(data, Mapping):
             raise ValueError(f"anomaly spec {source!r} is not a mapping")
     store = str(data["baseline_store"]) if data.get("baseline_store") else None

@@ -21,10 +21,8 @@ the standard SRE framing: 1.0 means failures arrive exactly as fast as
 the budget allows; above 1.0 the objective is burning budget it does
 not have and the result is a breach.
 
-Specs load from a dict, a JSON file, or a small YAML subset
-(``load_slo_spec``) -- parsed by a dependency-free reader since the
-toolchain deliberately has no YAML library.  ``repro serve --slo`` and
-``repro report --slo`` evaluate and render them (see
+Specs load from a dict or a JSON file (``load_slo_spec``).  ``repro
+serve --slo`` and ``repro report --slo`` evaluate and render them (see
 ``docs/observability.md`` for the spec format).
 """
 
@@ -248,118 +246,14 @@ def parse_slo_spec(spec: Mapping[str, Any]) -> list[SLOObjective]:
 
 
 def load_slo_spec(source: Mapping[str, Any] | str) -> list[SLOObjective]:
-    """Load objectives from a dict, a JSON file, or a YAML-subset file.
-
-    A string is a file path; JSON is tried first, then the
-    :func:`_parse_mini_yaml` subset (block mappings, ``- `` item lists,
-    scalars) -- enough for ``ci/slo.yml`` without a YAML dependency.
-    """
+    """Load objectives from a dict or a JSON file path."""
     if isinstance(source, Mapping):
         return parse_slo_spec(source)
     with open(source, "r", encoding="utf-8") as handle:
-        text = handle.read()
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError:
-        data = _parse_mini_yaml(text)
+        data = json.load(handle)
     if not isinstance(data, Mapping):
         raise ValueError(f"SLO spec {source!r} is not a mapping")
     return parse_slo_spec(data)
-
-
-def _parse_scalar(text: str) -> Any:
-    text = text.strip()
-    if text and text[0] in "\"'" and text[-1:] == text[0]:
-        return text[1:-1]
-    lowered = text.lower()
-    if lowered in ("true", "yes"):
-        return True
-    if lowered in ("false", "no"):
-        return False
-    if lowered in ("null", "~", ""):
-        return None
-    try:
-        return int(text)
-    except ValueError:
-        pass
-    try:
-        return float(text)
-    except ValueError:
-        return text
-
-
-def _parse_mini_yaml(text: str) -> dict[str, Any]:
-    """Parse the YAML subset SLO specs use (no external dependency).
-
-    Supported: nested block mappings (``key:`` / ``key: value``), lists
-    of scalars or flat mappings (``- key: value`` with aligned
-    continuation lines), comments, and plain scalars.  Anchors, flow
-    collections and multi-line strings are not -- specs needing them
-    should use JSON, which every loader path accepts first.
-    """
-    lines: list[tuple[int, str]] = []
-    for raw in text.splitlines():
-        without_comment = raw.split("#", 1)[0].rstrip()
-        if not without_comment.strip():
-            continue
-        indent = len(without_comment) - len(without_comment.lstrip())
-        lines.append((indent, without_comment.strip()))
-
-    def parse_block(start: int, indent: int) -> tuple[Any, int]:
-        # List block?
-        if start < len(lines) and lines[start][1].startswith("- "):
-            items: list[Any] = []
-            i = start
-            while i < len(lines) and lines[i][0] == indent and lines[i][1].startswith("- "):
-                head = lines[i][1][2:].strip()
-                item_indent = lines[i][0] + 2
-                if ":" in head:
-                    # Inline first key of a mapping item; continuation
-                    # lines are the keys indented past the dash.
-                    key, _, rest = head.partition(":")
-                    mapping: dict[str, Any] = {key.strip(): _parse_scalar(rest)}
-                    i += 1
-                    while (
-                        i < len(lines)
-                        and lines[i][0] >= item_indent
-                        and not lines[i][1].startswith("- ")
-                    ):
-                        key, _, rest = lines[i][1].partition(":")
-                        if rest.strip():
-                            mapping[key.strip()] = _parse_scalar(rest)
-                            i += 1
-                        else:
-                            value, i = parse_block(i + 1, lines[i][0] + 2)
-                            mapping[key.strip()] = value
-                    items.append(mapping)
-                else:
-                    items.append(_parse_scalar(head))
-                    i += 1
-            return items, i
-        # Mapping block.
-        result: dict[str, Any] = {}
-        i = start
-        while i < len(lines) and lines[i][0] == indent and not lines[i][1].startswith("- "):
-            key, sep, rest = lines[i][1].partition(":")
-            if not sep:
-                raise ValueError(f"cannot parse line: {lines[i][1]!r}")
-            if rest.strip():
-                result[key.strip()] = _parse_scalar(rest)
-                i += 1
-            else:
-                next_indent = lines[i + 1][0] if i + 1 < len(lines) else indent
-                if next_indent > indent:
-                    value, i = parse_block(i + 1, next_indent)
-                    result[key.strip()] = value
-                else:
-                    result[key.strip()] = None
-                    i += 1
-        return result, i
-
-    parsed, _ = parse_block(0, lines[0][0] if lines else 0)
-    if not isinstance(parsed, dict):
-        raise ValueError("top level of an SLO spec must be a mapping")
-    return parsed
 
 
 # ---------------------------------------------------------------------------

@@ -219,7 +219,6 @@ def _admit_block(
     """
     session = database.session(
         use_avoidance=payload["use_avoidance"],
-        warm_start=payload["warm_start"],
         seed_from_queries=payload["db_indices"] is not None,
     )
     for position, (obj, qtype) in enumerate(
@@ -694,7 +693,6 @@ class ParallelDatabase:
         qtypes: Sequence[QueryType] | QueryType,
         block_size: int | None = None,
         use_avoidance: bool = True,
-        warm_start: bool = False,
         seed_radius: Sequence[float] | None = None,
         db_indices: Sequence[int] | None = None,
         share_home_bounds: bool = True,
@@ -764,7 +762,6 @@ class ParallelDatabase:
                     outcome = self._run_block_process(
                         block,
                         use_avoidance,
-                        warm_start,
                         share_home_bounds,
                         self._trace_context(block_phase),
                     )
@@ -798,7 +795,7 @@ class ParallelDatabase:
                             for server in self.servers
                         ]
                     block_results = self._run_block(
-                        block, use_avoidance, warm_start, share_home_bounds
+                        block, use_avoidance, share_home_bounds
                     )
                     for s, local in enumerate(block_results):
                         per_server_answers[s].extend(
@@ -895,7 +892,6 @@ class ParallelDatabase:
         self,
         block: _Block,
         use_avoidance: bool,
-        warm_start: bool,
         share_home_bounds: bool,
         trace_context: dict[str, Any] | None = None,
     ) -> list[
@@ -923,7 +919,6 @@ class ParallelDatabase:
             "db_indices": block.db_indices,
             "seed_radius": block.seed_radius,
             "use_avoidance": use_avoidance,
-            "warm_start": warm_start,
             "trace": trace_context,
         }
         phase1 = [
@@ -963,7 +958,6 @@ class ParallelDatabase:
         self,
         block: _Block,
         use_avoidance: bool,
-        warm_start: bool,
         share_home_bounds: bool,
     ) -> list[list[list[Answer]]]:
         """One parallel multiple similarity query over all servers.
@@ -989,7 +983,6 @@ class ParallelDatabase:
                 "db_indices": block.db_indices,
                 "seed_radius": block.seed_radius,
                 "use_avoidance": use_avoidance,
-                "warm_start": warm_start,
                 "home_positions": home_positions[s],
             }
             for s in range(self.n_servers)

@@ -173,7 +173,7 @@ class QueryScheduler:
     session_options:
         Extra keyword arguments for the underlying
         :class:`~repro.service.session.QuerySession` (engine,
-        use_avoidance, max_pivots, matrix_mode, warm_start).
+        use_avoidance, max_pivots, matrix_mode).
     """
 
     def __init__(

@@ -157,7 +157,6 @@ class QuerySession:
         use_avoidance: bool = True,
         max_pivots: int | None = None,
         seed_from_queries: bool = False,
-        warm_start: bool = False,
         matrix_mode: str = "eager",
         observer: Any = None,
         prefilter: Any = None,
@@ -170,7 +169,6 @@ class QuerySession:
             engine=engine,
             use_avoidance=use_avoidance,
             seed_from_queries=seed_from_queries,
-            warm_start=warm_start,
             matrix_mode=matrix_mode,
             observer=observer,
             prefilter=prefilter,
@@ -483,7 +481,6 @@ def run_in_blocks(
     use_avoidance: bool = True,
     max_pivots: int | None = None,
     db_indices: Sequence[int | None] | None = None,
-    warm_start: bool = False,
 ) -> list[list[Answer]]:
     """Process ``M`` queries in consecutive blocks of ``block_size``.
 
@@ -512,7 +509,6 @@ def run_in_blocks(
             use_avoidance=use_avoidance,
             max_pivots=max_pivots,
             seed_from_queries=db_indices is not None,
-            warm_start=warm_start,
         )
         block_objs = query_objs[start : start + block_size]
         block_types = qtypes_list[start : start + block_size]

@@ -21,7 +21,7 @@ replayable artifact:
 
 Both replays produce a :class:`LoadReport` (p50/p99 latency, TTFA,
 throughput, shed/degraded counts) whose :meth:`LoadReport.snapshot`
-re-uses the SLO engine's metric names, so ``ci/slo.yml`` evaluates the
+re-uses the SLO engine's metric names, so ``ci/slo.json`` evaluates the
 *client-observed* service level with zero new machinery.
 """
 

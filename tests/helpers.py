@@ -177,8 +177,13 @@ def slice_loop_process(processor, objs, qtypes, keys, db_indices=None):
 
     The whole slice is handed over on every call: each query is admitted
     (a buffered one restored), duplicates fold into their first
-    occurrence, the slice is seeded and warmed (queries seeded or warmed
-    before are skipped), and its head is driven against the rest.  The
+    occurrence, the slice is warmed and then seeded (queries warmed or
+    seeded before are skipped), and its head is driven against the rest.
+    A slice of more than one query on a ranked access method without a
+    per-stream filter scan warms every query whose radius is still
+    infinite.  A query that stayed unwarmed at its first call
+    either drove then or held a finite radius, so re-offering the rule
+    on every call warms exactly what the window warms at join time.  The
     processor's query window is never touched.
     """
     if isinstance(qtypes, QueryType):
@@ -189,10 +194,13 @@ def slice_loop_process(processor, objs, qtypes, keys, db_indices=None):
         pending = processor.admit(obj, qtype, keys[i], index)
         if all(pending is not other for other in pendings):
             pendings.append(pending)
+    access = processor.access
+    if len(pendings) > 1 and not (
+        access.sequential_data_access or access.stream_scans_filter
+    ):
+        processor.warm_up([p for p in pendings if math.isinf(p.radius)])
     if processor.seed_from_queries:
         processor.seed_radius_hints(pendings)
-    if processor.warm_start:
-        processor.warm_up(pendings)
     driver, others = pendings[0], pendings[1:]
     if not driver.complete:
         for _ in processor.drive_pages(driver, others):

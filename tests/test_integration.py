@@ -46,11 +46,7 @@ class TestAstronomyPipeline:
         database.cold()
         with database.measure() as multi:
             database.run_in_blocks(
-                queries,
-                knn_query(10),
-                block_size=len(queries),
-                db_indices=indices,
-                warm_start=True,
+                queries, knn_query(10), block_size=len(queries), db_indices=indices
             )
         assert multi.total_seconds < single.total_seconds
 

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from repro import Database, bounded_knn_query, knn_query, range_query
 from repro.core.multi_query import MultiQueryProcessor
+from repro.core.types import KIND_KNN
 
 from tests.helpers import brute_force_answers, slice_loop_process
 
@@ -301,18 +302,13 @@ class TestQueryWindow:
         ),
         width=st.sampled_from([1, 8, 32]),
         seed_from_queries=st.booleans(),
-        warm_start=st.booleans(),
         matrix_mode=st.sampled_from(["eager", "lazy"]),
         access=st.sampled_from(["xtree", "scan"]),
     )
     def test_advance_matches_slice_loop(
-        self, vectors, ops, width, seed_from_queries, warm_start, matrix_mode, access
+        self, vectors, ops, width, seed_from_queries, matrix_mode, access
     ):
-        options = dict(
-            seed_from_queries=seed_from_queries,
-            warm_start=warm_start,
-            matrix_mode=matrix_mode,
-        )
+        options = dict(seed_from_queries=seed_from_queries, matrix_mode=matrix_mode)
         subject_db, oracle_db = make_db(vectors, access), make_db(vectors, access)
         session = subject_db.session(**options)
         oracle = MultiQueryProcessor(oracle_db, **options)
@@ -360,7 +356,6 @@ class TestSeedingAndWarmStart:
             knn_query(5),
             block_size=len(queries),
             db_indices=query_indices,
-            warm_start=True,
         )
         for a, b in zip(plain, seeded):
             assert sorted(x.distance for x in a) == pytest.approx(
@@ -395,6 +390,47 @@ class TestSeedingAndWarmStart:
         assert all(not math.isinf(h) for h in hints)
 
     def test_warm_start_ignored_for_scan(self, vectors):
-        db = make_db(vectors, "scan")
-        proc = db.processor(warm_start=True)
-        assert not proc.warm_start
+        proc = make_db(vectors, "scan").processor()
+        proc.process([vectors[i] for i in range(6)], knn_query(5))
+        assert not any(p.warmed for p in proc.pending_queries)
+
+    @pytest.mark.parametrize("access", ["xtree", "rstar", "mtree", "vafile"])
+    def test_warming_never_changes_answers(self, vectors, access):
+        # A mixed window: the unsaturated k-NN newcomers are warmed (none
+        # on the VA-file, whose every stream re-scans its approximation
+        # file), the range and bounded ones are not, and every answer
+        # list equals the query run on its own.
+        keys = list(range(12))
+        objs, qtypes, __, indices = pool_batch(vectors, keys)
+        proc = make_db(vectors, access).processor(seed_from_queries=True)
+        got = proc.query_all(objs, qtypes, keys, retire=False, db_indices=indices)
+        warmed = {p.key for p in proc.pending_queries if p.warmed}
+        knn = {key for key, t in zip(keys, qtypes) if t.kind == KIND_KNN}
+        assert warmed == (set() if access == "vafile" else knn)
+        single = make_db(vectors, access)
+        for obj, qtype, answers in zip(objs, qtypes, got):
+            want = single.similarity_query(obj, qtype)
+            assert [(a.index, a.distance) for a in answers] == [
+                (a.index, a.distance) for a in want
+            ]
+
+    def test_lone_query_is_never_warmed(self, vectors):
+        proc = make_db(vectors, "xtree").processor()
+        proc.process([vectors[0]], knn_query(5), keys=["a"])
+        # A lone newcomer of a later call drives at once, unwarmed too.
+        proc.advance([vectors[1]], knn_query(5), keys=["b"])
+        assert [p.warmed for p in proc.pending_queries] == [False, False]
+
+    def test_seeded_or_bounded_query_is_never_warmed(self, vectors):
+        session = make_db(vectors, "xtree").session(seed_from_queries=True)
+        indices = list(range(0, 60, 6))
+        keys = [
+            session.submit(vectors[i], knn_query(3), key=i, db_index=i)
+            for i in indices
+        ]
+        # Seeded before joining, as the parallel home-bound phase does.
+        session.seed_radius_hints(keys[:5])
+        session.bound_radius(keys[5], 0.5)
+        session.run([vectors[i] for i in indices], knn_query(3), keys, retire=False)
+        warmed = [session.processor.lookup(key).warmed for key in keys]
+        assert warmed == [False] * 6 + [True] * 4

@@ -37,11 +37,7 @@ def _answers_as_tuples(results):
 def _run_blocks(database, vectors, n_queries=18, block=6):
     queries = [vectors[i] for i in range(n_queries)]
     return database.run_in_blocks(
-        queries,
-        knn_query(5),
-        block_size=block,
-        db_indices=list(range(n_queries)),
-        warm_start=True,
+        queries, knn_query(5), block_size=block, db_indices=list(range(n_queries))
     )
 
 

@@ -98,12 +98,41 @@ class TestParallelCorrectness:
         plain = parallel.multiple_similarity_query(queries, knn_query(5))
         parallel.cold()
         seeded = parallel.multiple_similarity_query(
-            queries, knn_query(5), db_indices=indices, warm_start=True
+            queries, knn_query(5), db_indices=indices
         )
         for a, b in zip(plain.answers, seeded.answers):
             assert sorted(x.distance for x in a) == pytest.approx(
                 sorted(x.distance for x in b)
             )
+
+    def test_home_bound_cell_is_never_warmed(self, vectors):
+        # A Fig. 11 cell: after the home-bound phase every query holds a
+        # finite bound, so the window warms nothing and each server's
+        # counters stay those pinned before warming became automatic.
+        indices = list(range(0, 120, 10))
+        parallel = ParallelDatabase(vectors, n_servers=4, access="xtree", block_size=2048)
+        run = parallel.multiple_similarity_query(
+            [vectors[i] for i in indices], knn_query(5), db_indices=indices
+        )
+        pinned = [
+            (6, 3, 747, 1179, 433, 88),
+            (3, 0, 429, 2006, 532, 72),
+            (5, 4, 757, 886, 350, 92),
+            (3, 0, 456, 2156, 578, 74),
+        ]
+        for server, want in zip(run.per_server, pinned):
+            counters = server.counters
+            assert (
+                counters.random_page_reads,
+                counters.buffer_hits,
+                counters.distance_calculations,
+                counters.avoidance_tries,
+                counters.avoided_calculations,
+                counters.mindist_evaluations,
+            ) == want
+            assert counters.sequential_page_reads == 0
+            assert counters.query_matrix_distance_calculations == 66
+            assert counters.queries_completed == 12
 
     def test_single_server_equals_sequential_cost(self, vectors):
         queries = [vectors[i] for i in range(10)]

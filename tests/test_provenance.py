@@ -42,9 +42,9 @@ def _answers_as_tuples(results):
 
 
 def _run_blocks(database, vectors, n_queries=12, block=4):
-    # warm_start stays off: on a dataset this small the warm-up page
-    # alone completes most queries, which would leave no query.drive
-    # spans to attribute provenance to.
+    # Each block warms its k-NN queries on the tree indexes; with
+    # 4 KB pages the warm page alone completes no query, so drives are
+    # left to attribute provenance to.
     queries = [vectors[i] for i in range(n_queries)]
     return database.run_in_blocks(
         queries,
@@ -62,10 +62,12 @@ class TestProvenanceEquivalence:
     def test_traced_run_identical_across_methods_and_engines(
         self, vectors, access, engine
     ):
-        plain = Database(vectors, access=access, engine=engine)
+        plain = Database(vectors, access=access, engine=engine, block_size=4096)
         expected = _answers_as_tuples(_run_blocks(plain, vectors))
         observer = Observer(trace=True)
-        traced = Database(vectors, access=access, engine=engine, observer=observer)
+        traced = Database(
+            vectors, access=access, engine=engine, block_size=4096, observer=observer
+        )
         observed = _answers_as_tuples(_run_blocks(traced, vectors))
         assert observed == expected
         assert traced.counters.as_dict() == plain.counters.as_dict()
@@ -404,24 +406,7 @@ class TestSLOEngine:
                                  "threshold": 1, "target": 0.9, "oops": 1}]}
             )
 
-    def test_load_yaml_subset_and_json_specs(self, tmp_path):
-        yaml_path = tmp_path / "slo.yml"
-        yaml_path.write_text(
-            "# comment\n"
-            "objectives:\n"
-            "  - name: lat\n"
-            "    kind: latency\n"
-            "    metric: service.client_latency.seconds\n"
-            "    threshold: 2.5\n"
-            "    target: 0.95\n"
-            "  - name: complete\n"
-            "    kind: completeness\n"
-            "    threshold: 0.99\n"
-            "    target: 0.9\n"
-        )
-        objectives = load_slo_spec(str(yaml_path))
-        assert [o.name for o in objectives] == ["lat", "complete"]
-        assert objectives[0].threshold == 2.5
+    def test_load_json_specs_and_reject_yaml(self, tmp_path):
         json_path = tmp_path / "slo.json"
         json_path.write_text(
             json.dumps(
@@ -430,18 +415,30 @@ class TestSLOEngine:
                         {
                             "name": "lat",
                             "kind": "latency",
-                            "metric": "m",
+                            "metric": "service.client_latency.seconds",
                             "threshold": 2.5,
                             "target": 0.95,
-                        }
+                        },
+                        {
+                            "name": "complete",
+                            "kind": "completeness",
+                            "threshold": 0.99,
+                            "target": 0.9,
+                        },
                     ]
                 }
             )
         )
-        assert load_slo_spec(str(json_path))[0].threshold == 2.5
+        objectives = load_slo_spec(str(json_path))
+        assert [o.name for o in objectives] == ["lat", "complete"]
+        assert objectives[0].threshold == 2.5
+        yaml_path = tmp_path / "slo.yml"
+        yaml_path.write_text("objectives:\n  - name: lat\n")
+        with pytest.raises(ValueError):
+            load_slo_spec(str(yaml_path))
 
     def test_repo_ci_spec_loads(self):
-        objectives = load_slo_spec("ci/slo.yml")
+        objectives = load_slo_spec("ci/slo.json")
         assert len(objectives) == 3
         kinds = {o.kind for o in objectives}
         assert kinds == {"latency", "completeness"}

@@ -479,7 +479,7 @@ class TestAnomalyRules:
         )
         assert rule.op == ">="
 
-    def test_spec_loading_json_yaml_and_unknown_keys(self, tmp_path):
+    def test_spec_loading_json_and_unknown_keys(self, tmp_path):
         spec = {
             "baseline_store": "benchmarks/baselines.json",
             "rules": [
@@ -499,18 +499,29 @@ class TestAnomalyRules:
         json_path.write_text(json.dumps(spec))
         rules, _ = load_anomaly_spec(str(json_path))
         assert rules[0].name == "degraded"
-        yaml_path = tmp_path / "anomaly.yml"
-        yaml_path.write_text(
-            "rules:\n"
-            "  - name: storm\n"
-            "    kind: threshold\n"
-            "    series: counters.fault.injected\n"
-            "    op: '>='\n"
-            "    value: 8\n"
+        storm_path = tmp_path / "storm.json"
+        storm_path.write_text(
+            json.dumps(
+                {
+                    "rules": [
+                        {
+                            "name": "storm",
+                            "kind": "threshold",
+                            "series": "counters.fault.injected",
+                            "op": ">=",
+                            "value": 8,
+                        }
+                    ]
+                }
+            )
         )
-        rules, store = load_anomaly_spec(str(yaml_path))
+        rules, store = load_anomaly_spec(str(storm_path))
         assert store is None
         assert rules[0].op == ">=" and rules[0].value == 8.0
+        yaml_path = tmp_path / "anomaly.yml"
+        yaml_path.write_text("rules:\n  - name: storm\n")
+        with pytest.raises(ValueError):
+            load_anomaly_spec(str(yaml_path))
         with pytest.raises(ValueError):
             load_anomaly_spec({"rules": []})
         with pytest.raises(ValueError):
@@ -528,7 +539,7 @@ class TestAnomalyRules:
             )
 
     def test_repo_ci_spec_loads_with_baselines(self):
-        engine = load_anomaly_engine("ci/anomaly.yml")
+        engine = load_anomaly_engine("ci/anomaly.json")
         names = [rule.name for rule in engine.rules]
         assert "degraded-tickets" in names
         assert any(rule.replan for rule in engine.rules)
@@ -812,7 +823,7 @@ class TestTimelineCLI:
     def test_serve_with_anomaly_spec_reports_firings(self, tmp_path, capsys):
         timeline = self._serve(
             tmp_path, "--faults", "ci/chaos-mixed.json",
-            "--anomaly", "ci/anomaly.yml",
+            "--anomaly", "ci/anomaly.json",
         )
         out = capsys.readouterr().out
         assert "anomaly rules" in out
